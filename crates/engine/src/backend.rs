@@ -33,10 +33,11 @@ pub type SimBackend = MemorySystem;
 /// *Charged* accesses ([`touch`](MemoryBackend::touch),
 /// [`read_u64`](MemoryBackend::read_u64), …) are part of the algorithm
 /// and must be accounted (simulated or actually performed); `host_*`
-/// accesses are setup/oracle bookkeeping that the simulator leaves
-/// uncounted (on native memory they are real accesses like any other —
-/// wall clock cannot be told to ignore them, which is documented
-/// per-measurement).
+/// accesses are setup bookkeeping (table loads, sentinel fills, result
+/// read-back, prefetch peeks) that the simulator leaves uncounted (on
+/// native memory they are real accesses like any other — wall clock
+/// cannot be told to ignore them, so operators keep them out of their
+/// passes over the data).
 pub trait MemoryBackend {
     /// Interval counters of one run: per-level [`gcm_sim::Snapshot`] for
     /// the simulator, elapsed wall time for native memory.
@@ -44,6 +45,13 @@ pub trait MemoryBackend {
 
     /// Allocate `bytes` zeroed bytes aligned to `align` (a power of two).
     fn alloc(&mut self, bytes: u64, align: u64) -> Addr;
+
+    /// Give back the never-written tail `[end, tip)` of the most recent
+    /// allocation, so the next allocation lands exactly where it would
+    /// have had the last one been sized to stop at `end`. Debug builds
+    /// assert the released bytes are still zero, because
+    /// [`alloc`](MemoryBackend::alloc) promises zeroed memory.
+    fn release_tail(&mut self, end: Addr);
 
     /// Preferred relation alignment (the largest cache line the backend
     /// knows about).
@@ -170,10 +178,10 @@ pub trait MemoryBackend {
         }
     }
 
-    /// Uncharged (setup/oracle) read of a `u64`.
+    /// Uncharged (setup) read of a `u64`.
     fn host_read_u64(&self, addr: Addr) -> u64;
 
-    /// Uncharged (setup/oracle) write of a `u64`.
+    /// Uncharged (setup) write of a `u64`.
     fn host_write_u64(&mut self, addr: Addr, v: u64);
 
     /// Uncharged read into `buf`.
@@ -251,6 +259,10 @@ impl MemoryBackend for MemorySystem {
 
     fn alloc(&mut self, bytes: u64, align: u64) -> Addr {
         MemorySystem::alloc(self, bytes, align)
+    }
+
+    fn release_tail(&mut self, end: Addr) {
+        MemorySystem::release_tail(self, end);
     }
 
     fn line_align(&self) -> u64 {

@@ -103,12 +103,41 @@ impl<B: MemoryBackend> ExecContext<B> {
 
     /// Allocate a relation and fill its keys host-side (setup data does
     /// not perturb the simulator's counters; payload bytes stay zero).
+    /// The copy also records the keys' exclusive upper bound `max + 1`
+    /// ([`Relation::key_bound`]).
     pub fn relation_from_keys(&mut self, name: &str, keys: &[u64], w: u64) -> Relation {
         let rel = self.relation(name, keys.len() as u64, w);
+        let mut bound = 0u64;
         for (i, &k) in keys.iter().enumerate() {
             self.mem.host_write_u64(rel.tuple(i as u64), k);
+            bound = bound.max(k.saturating_add(1));
         }
-        rel
+        rel.with_key_bound(bound)
+    }
+
+    /// Grow `out` — an output reserved with [`ExecContext::relation`]
+    /// and still the most recent allocation — in place to `n > out.n()`
+    /// tuples. The extension is contiguous because nothing was
+    /// allocated past it. Callers pick the growth step: the joins
+    /// double, `select_lt` adds one input chunk at a time.
+    pub fn grow_output(&mut self, out: &Relation, n: u64) -> Relation {
+        assert!(n > out.n(), "growth must add tuples");
+        let end = out.base() + out.bytes();
+        // An empty reservation still holds one placeholder byte.
+        self.mem.release_tail(end);
+        let at = self.mem.alloc((n - out.n()) * out.w(), 1);
+        assert_eq!(at, end, "only the most recent allocation grows in place");
+        Relation::new(out.region().name(), out.base(), n, out.w()).with_key_bound(out.key_bound())
+    }
+
+    /// Cut `out` — a reservation that is still the most recent
+    /// allocation — to its first `n` (written) tuples and give the
+    /// unwritten tail back, so the next allocation lands exactly where
+    /// it would have after an exact-size [`ExecContext::relation`].
+    pub fn finish_output(&mut self, out: &Relation, n: u64) -> Relation {
+        debug_assert!(n <= out.n(), "finished past the reservation");
+        self.mem.release_tail(out.base() + (n * out.w()).max(1));
+        Relation::new(out.region().name(), out.base(), n, out.w()).with_key_bound(out.key_bound())
     }
 
     /// Read a relation's full content host-side, as raw bytes — the
@@ -213,6 +242,29 @@ mod tests {
         let rel = c.relation_from_keys("R", &keys, 16);
         assert_eq!(c.mem.clock_ns(), 0.0);
         assert_eq!(c.mem.host().read_u64(rel.tuple(7)), 7);
+    }
+
+    #[test]
+    fn relation_from_keys_records_the_key_bound() {
+        let mut c = ctx();
+        assert_eq!(c.relation_from_keys("R", &[3, 9, 1], 8).key_bound(), 10);
+        assert_eq!(c.relation_from_keys("E", &[], 8).key_bound(), 0);
+    }
+
+    #[test]
+    fn reserved_output_grows_then_finishes_at_the_exact_tip() {
+        let mut c = ctx();
+        let out = c.relation("W", 2, 16);
+        let out = c.grow_output(&out, 4);
+        assert_eq!(out.n(), 4);
+        c.mem.host_mut().write_u64(out.tuple(2), 5);
+        let out = c.finish_output(&out, 3);
+        assert_eq!(out.n(), 3);
+        assert_eq!(c.mem.alloc(8, 8), out.base() + 48);
+        // An empty reservation grows from its placeholder byte.
+        let empty = c.relation("E", 0, 8);
+        let grown = c.grow_output(&empty, 1);
+        assert_eq!((grown.base(), grown.n()), (empty.base(), 1));
     }
 
     #[test]

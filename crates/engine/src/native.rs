@@ -11,8 +11,9 @@
 //!
 //! What native can and cannot count (see the table in
 //! [`crate::backend`]): by default it measures wall time plus logical
-//! access/line totals — wall time includes CPU work, host-side oracle
-//! passes, and allocation, so comparisons against the model use
+//! access/line totals — wall time includes CPU work and output
+//! allocation (operators make no host-side sizing pass; see
+//! [`MemoryBackend::release_tail`]), so comparisons against the model use
 //! generous documented bounds, while *result* comparisons against the
 //! sim backend are exact. On a perf-capable Linux host,
 //! [`NativeBackend::attach_pmu`] additionally opens the hardware
@@ -232,6 +233,20 @@ impl MemoryBackend for NativeBackend {
             self.data.resize(needed, 0);
         }
         addr
+    }
+
+    fn release_tail(&mut self, end: Addr) {
+        assert!(
+            (NATIVE_BASE..=self.next).contains(&end),
+            "release point {end} outside the allocated range"
+        );
+        debug_assert!(
+            self.data[self.idx(end)..self.idx(self.next)]
+                .iter()
+                .all(|&b| b == 0),
+            "released tail was written"
+        );
+        self.next = end;
     }
 
     fn line_align(&self) -> u64 {

@@ -4,35 +4,47 @@
 
 use crate::backend::MemoryBackend;
 use crate::ctx::ExecContext;
-use crate::ops::hash::{HashTable, EMPTY};
+use crate::ops::hash::{table_slots, HashTable, EMPTY};
 use crate::ops::sort::quick_sort;
 use crate::relation::Relation;
 use gcm_core::{library, Pattern, Region};
 
+/// Slots of the counting table [`hash_group_count`] allocates for an
+/// `n`-tuple input whose keys are all `< key_bound`: sized for
+/// `min(n, key_bound)` groups, a bound on the distinct keys the input
+/// can hold. The one sizing rule shared by the operator, the plan
+/// executor's pattern and the optimizer's pricing, so the region that
+/// gets priced is the region that runs.
+pub fn group_table_slots(n: u64, key_bound: u64) -> u64 {
+    table_slots(n.min(key_bound))
+}
+
 /// Hash-based group-by count: returns a relation of `(group_key, count)`
 /// pairs (width 16), in table order.
+///
+/// One charged pass: the table is sized from the input's key bound
+/// ([`group_table_slots`]), the groups are counted as they are
+/// inserted, and the output is allocated at its exact size afterwards.
+/// A key bound below the input's real distinct count would overfill
+/// the table; that fails loudly on the load-factor assertion instead of
+/// probing forever.
 pub fn hash_group_count<B: MemoryBackend>(
     ctx: &mut ExecContext<B>,
     input: &Relation,
     out_name: &str,
 ) -> Relation {
-    // Host-side distinct count (cardinality oracle) to size table/output.
-    let mut distinct = 0u64;
-    {
-        let mut seen = std::collections::HashSet::new();
-        for i in 0..input.n() {
-            if seen.insert(ctx.mem.host_read_u64(input.tuple(i))) {
-                distinct += 1;
-            }
-        }
-    }
-    let table = HashTable::alloc(ctx, &format!("H({out_name})"), distinct.max(1));
+    let table = HashTable::alloc(
+        ctx,
+        &format!("H({out_name})"),
+        input.n().min(input.key_bound()),
+    );
     // Aggregate: probe; on hit increment the count in place, else insert
     // 1. The upsert's random table line N tuples ahead is
     // software-prefetched for write (uncharged hint; distance 0 on the
     // simulator skips it).
     let dist = ctx.mem.prefetch_distance();
     let mask = table.capacity() - 1;
+    let mut groups = 0u64;
     for i in 0..input.n() {
         if dist > 0 && i + dist < input.n() {
             let ahead = ctx.mem.host_read_u64(input.tuple(i + dist));
@@ -41,13 +53,24 @@ pub fn hash_group_count<B: MemoryBackend>(
         }
         let key = ctx.read_tuple(input, i);
         ctx.count_ops(1);
-        upsert_count(ctx, &table, key);
+        if upsert_add(ctx, &table, key, 1) {
+            groups += 1;
+            assert!(
+                2 * groups <= table.capacity(),
+                "group-count table past load factor 1/2: key bound {} of {:?} \
+                 understates its distinct keys",
+                input.key_bound(),
+                input.region().name()
+            );
+        }
     }
     // Emit: sweep the table, writing occupied slots out sequentially.
-    let out = ctx.relation(out_name, distinct, 16);
+    let out = ctx
+        .relation(out_name, groups, 16)
+        .with_key_bound(input.key_bound());
     let mut cursor = 0u64;
     for s in 0..table.capacity() {
-        let addr = table_slot_addr(&table, s);
+        let addr = table.slot_addr(s);
         let key = ctx.mem.read_u64(addr);
         if key != EMPTY {
             let count = ctx.mem.read_u64(addr + 8);
@@ -58,44 +81,36 @@ pub fn hash_group_count<B: MemoryBackend>(
             cursor += 1;
         }
     }
-    debug_assert_eq!(cursor, distinct);
+    debug_assert_eq!(cursor, groups);
     out
 }
 
-fn table_slot_addr(table: &HashTable, slot: u64) -> gcm_sim::Addr {
-    table.slot_addr(slot)
-}
-
-fn upsert_count<B: MemoryBackend>(ctx: &mut ExecContext<B>, table: &HashTable, key: u64) {
-    upsert_add(ctx, table, key, 1);
-}
-
 /// Add `delta` to `key`'s count in a counting hash table, inserting the
-/// key if absent (simulated accesses; linear probing). Also the merge
-/// primitive of the parallel aggregation's per-thread partials
-/// ([`crate::parallel`]).
+/// key if absent (simulated accesses; linear probing); returns whether
+/// the key was inserted. Also the merge primitive of the parallel
+/// aggregation's per-thread partials ([`crate::parallel`]).
 pub(crate) fn upsert_add<B: MemoryBackend>(
     ctx: &mut ExecContext<B>,
     table: &HashTable,
     key: u64,
     delta: u64,
-) {
+) -> bool {
     let mask = table.capacity() - 1;
     let mut slot = crate::ops::mix(key) & mask;
     loop {
-        let addr = table_slot_addr(table, slot);
+        let addr = table.slot_addr(slot);
         let resident = ctx.mem.read_u64(addr);
         ctx.count_ops(1);
         if resident == key {
             let c = ctx.mem.read_u64(addr + 8);
             ctx.mem.write_u64(addr + 8, c + delta);
-            return;
+            return false;
         }
         if resident == EMPTY {
             ctx.mem.touch(addr, 16);
             ctx.mem.host_write_u64(addr, key);
             ctx.mem.host_write_u64(addr + 8, delta);
-            return;
+            return true;
         }
         slot = (slot + 1) & mask;
     }
@@ -108,26 +123,18 @@ pub fn hash_group_pattern(input: &Region, h: &Region, output: &Region) -> Patter
 }
 
 /// Sort-based duplicate elimination: sorts the input in place, then
-/// emits each distinct key once.
+/// emits each distinct key once. The output reserves all `n` input
+/// tuples at the allocation tip and releases the unwritten tail after
+/// the charged pass ([`ExecContext::finish_output`]).
 pub fn sort_dedup<B: MemoryBackend>(
     ctx: &mut ExecContext<B>,
     input: &Relation,
     out_name: &str,
 ) -> Relation {
     quick_sort(ctx, input);
-    // Distinct count, host-side.
-    let mut distinct = 0u64;
-    {
-        let mut prev = None;
-        for i in 0..input.n() {
-            let k = ctx.mem.host_read_u64(input.tuple(i));
-            if prev != Some(k) {
-                distinct += 1;
-                prev = Some(k);
-            }
-        }
-    }
-    let out = ctx.relation(out_name, distinct, input.w());
+    let out = ctx
+        .relation(out_name, input.n(), input.w())
+        .with_key_bound(input.key_bound());
     let mut cursor = 0u64;
     let mut prev = None;
     for i in 0..input.n() {
@@ -139,7 +146,7 @@ pub fn sort_dedup<B: MemoryBackend>(
             prev = Some(k);
         }
     }
-    out
+    ctx.finish_output(&out, cursor)
 }
 
 /// Pattern of [`sort_dedup`]: `quick_sort(U) ⊕ s_trav(U) ⊙ s_trav(W)`.

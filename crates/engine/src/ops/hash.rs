@@ -244,9 +244,17 @@ pub fn hash_join<B: MemoryBackend>(
 ) -> Relation {
     let table = build_hash(ctx, v, &format!("H({out_name})"));
     hash_join_with_table(ctx, u, &table, out_name, out_w)
+        .with_key_bound(u.key_bound().min(v.key_bound()))
 }
 
 /// The probe phase only, against a pre-built table.
+///
+/// One charged pass: the output reserves `u.n()` tuples at the
+/// allocation tip (one match per probe, the common key/foreign-key
+/// case), grows in place when duplicate build keys overflow that
+/// ([`ExecContext::grow_output`]), and releases the unwritten tail at
+/// the end ([`ExecContext::finish_output`]). The output keeps the probe
+/// side's key bound; callers that hold the build side narrow it.
 pub fn hash_join_with_table<B: MemoryBackend>(
     ctx: &mut ExecContext<B>,
     u: &Relation,
@@ -254,32 +262,10 @@ pub fn hash_join_with_table<B: MemoryBackend>(
     out_name: &str,
     out_w: u64,
 ) -> Relation {
-    // Cardinality oracle: host-side count of matches. The oracle's
-    // random table reads are real loads on native memory, so it gets
-    // the same N-ahead hint as the charged probe below (uncharged, and
-    // skipped entirely at the simulator's distance of 0).
     let dist = ctx.mem.prefetch_distance();
-    let mut matches = 0u64;
-    for i in 0..u.n() {
-        if dist > 0 && i + dist < u.n() {
-            let ahead = ctx.mem.host_read_u64(u.tuple(i + dist));
-            ctx.mem
-                .prefetch_read(table.slots.tuple(mix(ahead) & table.mask));
-        }
-        let key = ctx.mem.host_read_u64(u.tuple(i));
-        let mut slot = mix(key) & table.mask;
-        loop {
-            let resident = ctx.mem.host_read_u64(table.slots.tuple(slot));
-            if resident == EMPTY {
-                break;
-            }
-            if resident == key {
-                matches += 1;
-            }
-            slot = (slot + 1) & table.mask;
-        }
-    }
-    let out = ctx.relation(out_name, matches, out_w);
+    let mut out = ctx
+        .relation(out_name, u.n(), out_w)
+        .with_key_bound(u.key_bound());
     let mut cursor = 0u64;
     // Probe with N-ahead software prefetch of the home slot of the key
     // `dist` tuples ahead: the probe's dependent random table loads are
@@ -293,13 +279,15 @@ pub fn hash_join_with_table<B: MemoryBackend>(
         }
         let key = ctx.read_tuple(u, i);
         HashTable::probe_all(ctx, table, key, |ctx, _v| {
+            if cursor == out.n() {
+                out = ctx.grow_output(&out, 2 * cursor);
+            }
             ctx.write_tuple(&out, cursor, key);
             ctx.count_ops(1);
             cursor += 1;
         });
     }
-    debug_assert_eq!(cursor, matches);
-    out
+    ctx.finish_output(&out, cursor)
 }
 
 /// Pattern of [`build_hash`]: `s_trav(V) ⊙ r_trav(H)`.

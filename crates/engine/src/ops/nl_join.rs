@@ -8,7 +8,10 @@ use crate::relation::Relation;
 use gcm_core::{library, Pattern, Region};
 
 /// Join `u ⋈ v` by scanning `v` once per tuple of `u`. Quadratic: use
-/// only as the model's baseline comparator.
+/// only as the model's baseline comparator. The output is reserved at
+/// the allocation tip for `u.n()` tuples, grown in place on duplicate
+/// matches ([`ExecContext::grow_output`]) and cut to size at the end
+/// ([`ExecContext::finish_output`]), all within the one charged pass.
 pub fn nested_loop_join<B: MemoryBackend>(
     ctx: &mut ExecContext<B>,
     u: &Relation,
@@ -16,17 +19,9 @@ pub fn nested_loop_join<B: MemoryBackend>(
     out_name: &str,
     out_w: u64,
 ) -> Relation {
-    // Cardinality oracle.
-    let mut matches = 0u64;
-    for i in 0..u.n() {
-        let ku = ctx.mem.host_read_u64(u.tuple(i));
-        for j in 0..v.n() {
-            if ctx.mem.host_read_u64(v.tuple(j)) == ku {
-                matches += 1;
-            }
-        }
-    }
-    let out = ctx.relation(out_name, matches, out_w);
+    let mut out = ctx
+        .relation(out_name, u.n(), out_w)
+        .with_key_bound(u.key_bound().min(v.key_bound()));
     let mut cursor = 0u64;
     for i in 0..u.n() {
         let ku = ctx.read_tuple(u, i);
@@ -34,12 +29,15 @@ pub fn nested_loop_join<B: MemoryBackend>(
             let kv = ctx.read_tuple(v, j);
             ctx.count_ops(1);
             if kv == ku {
+                if cursor == out.n() {
+                    out = ctx.grow_output(&out, 2 * cursor);
+                }
                 ctx.write_tuple(&out, cursor, ku);
                 cursor += 1;
             }
         }
     }
-    out
+    ctx.finish_output(&out, cursor)
 }
 
 /// Pattern of [`nested_loop_join`]:

@@ -71,7 +71,9 @@ pub fn join_partitions<B: MemoryBackend>(
     }
     // Concatenate results into a single dense output relation.
     let total: u64 = results.iter().map(Relation::n).sum();
-    let out = ctx.relation(out_name, total, out_w);
+    let out = ctx
+        .relation(out_name, total, out_w)
+        .with_key_bound(pu.rel.key_bound().min(pv.rel.key_bound()));
     let mut cursor = 0u64;
     for r in &results {
         for i in 0..r.n() {

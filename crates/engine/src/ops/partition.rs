@@ -14,10 +14,14 @@
 //! L2 lines), because every open output line gets evicted between two
 //! writes to the same buffer.
 //!
-//! Buffer sizes are precomputed host-side (an exact-cardinality oracle;
-//! MonetDB's radix cluster does a separate counting pass, which the
-//! paper's §6.2 experiment models and measures without — we follow the
-//! paper).
+//! Buffer sizes come from a host-side counting pass before the
+//! scatter. Unlike the sizing passes the other operators dropped, this
+//! histogram is a real step of radix partitioning (MonetDB's radix
+//! cluster runs it too), but it is still uncharged: the paper's §6.2
+//! experiment models and measures the scatter alone, and we follow the
+//! paper. Pricing the histogram re-prices the Figure 7d/7e
+//! reproductions; it is what remains of the single-pass operator work
+//! listed in ROADMAP.md.
 
 use crate::backend::MemoryBackend;
 use crate::ctx::ExecContext;
@@ -68,8 +72,9 @@ pub fn hash_partition<B: MemoryBackend>(
     out_name: &str,
 ) -> Partitioned {
     assert!(m >= 1 && m <= u32::MAX as u64);
-    // Host-side counting pass (cardinality oracle); the per-tuple bucket
-    // is remembered so the scatter need not re-hash.
+    // Host-side histogram (real, still uncharged — see the module
+    // docs); the per-tuple bucket is remembered so the scatter need not
+    // re-hash.
     let mut counts = vec![0u64; m as usize];
     let mut buckets = Vec::with_capacity(input.n() as usize);
     for i in 0..input.n() {
@@ -86,7 +91,9 @@ pub fn hash_partition<B: MemoryBackend>(
         offsets.push(acc);
     }
 
-    let out = ctx.relation(out_name, input.n(), input.w());
+    let out = ctx
+        .relation(out_name, input.n(), input.w())
+        .with_key_bound(input.key_bound());
     let mut cursors: Vec<u64> = offsets[..m as usize].to_vec();
     // One logical op per tuple (the bucket decision); the scatter routes
     // through the backend's bulk entry point, where the native kernel

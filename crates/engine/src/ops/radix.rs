@@ -11,6 +11,12 @@
 //! ```text
 //! radix(U, bits, p) = ⊕_{i=1}^{p} ( s_trav(U) ⊙ nest(W, 2^{bits/p}, s_trav, rnd) )
 //! ```
+//!
+//! Each pass sizes its sub-clusters with a host-side histogram before
+//! the scatter. That counting is real radix-cluster work, not a
+//! cardinality oracle, yet the pattern above does not price it; charging
+//! it is what remains of the single-pass operator work listed in
+//! ROADMAP.md (see [`crate::ops::partition`]).
 
 use crate::backend::MemoryBackend;
 use crate::ctx::ExecContext;
@@ -57,7 +63,9 @@ pub fn radix_partition<B: MemoryBackend>(
     let mut out = input.clone(); // replaced in the first pass
     for (p, &pb) in pass_bits.iter().enumerate() {
         let fanout = 1u64 << pb;
-        out = ctx.relation(&format!("{out_name}.p{p}"), n, w);
+        out = ctx
+            .relation(&format!("{out_name}.p{p}"), n, w)
+            .with_key_bound(input.key_bound());
         let mut new_bounds = Vec::with_capacity((bounds.len() - 1) * fanout as usize + 1);
         new_bounds.push(0);
         // Process each existing cluster independently: its tuples are
@@ -65,8 +73,9 @@ pub fn radix_partition<B: MemoryBackend>(
         // cursors are ever open at once — that is the whole trick.
         for c in 0..bounds.len() - 1 {
             let (lo, hi) = (bounds[c], bounds[c + 1]);
-            // Host-side counting pass (cardinality oracle, as in
-            // ops::partition).
+            // Host-side histogram per cluster: a real step of radix
+            // clustering that stays uncharged, as in ops::partition
+            // (its module docs say why).
             let mut counts = vec![0u64; fanout as usize];
             for i in lo..hi {
                 let key = ctx.mem.host_read_u64(src.tuple(i));

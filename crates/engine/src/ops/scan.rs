@@ -29,33 +29,46 @@ pub fn scan_pattern(input: &Region, u: u64) -> Pattern {
     Pattern::s_trav_u(input.clone(), u.clamp(lo, input.w.max(lo)))
 }
 
-/// Select tuples with `key < threshold` into a fresh output relation
-/// (exact-sized; the qualifying count is precomputed host-side, which
-/// costs no simulated accesses — mirroring an exact-cardinality oracle,
-/// as the paper assumes for the logical cost component, §1).
+/// Input tuples [`select_lt`] filters per step of its output
+/// reservation.
+const SELECT_CHUNK: u64 = 1 << 14;
+
+/// Select tuples with `key < threshold` into a fresh output relation,
+/// in one charged pass over chunks of the input. Before each chunk the
+/// output, the most recent allocation, grows in place to hold the chunk
+/// if every tuple qualified ([`ExecContext::grow_output`]); after the
+/// last, the unwritten tail is released ([`ExecContext::finish_output`]).
+/// The reservation so never exceeds the output by more than one chunk,
+/// and later allocations land where an exact-size output would have put
+/// them. The output's key bound is `min(bound, threshold)`.
 pub fn select_lt<B: MemoryBackend>(
     ctx: &mut ExecContext<B>,
     rel: &Relation,
     threshold: u64,
     out_name: &str,
 ) -> Relation {
-    // Host-side count (cardinality oracle).
+    let w = rel.w();
+    let mut out = ctx
+        .relation(out_name, rel.n().min(SELECT_CHUNK), w)
+        .with_key_bound(rel.key_bound().min(threshold));
     let mut hits = 0u64;
-    for i in 0..rel.n() {
-        if ctx.mem.host_read_u64(rel.tuple(i)) < threshold {
-            hits += 1;
+    let mut i = 0u64;
+    while i < rel.n() {
+        let len = (rel.n() - i).min(SELECT_CHUNK);
+        if hits + len > out.n() {
+            out = ctx.grow_output(&out, hits + len);
         }
+        // The backend's bulk filter: the default is the per-tuple
+        // touch-then-copy loop; the native backend vectorizes the
+        // predicate. Chunks are multiples of its 64-key blocks.
+        hits += ctx
+            .mem
+            .select_lt_bulk(rel.tuple(i), len, w, threshold, out.base() + hits * w, w);
+        i += len;
     }
-    let out = ctx.relation(out_name, hits, rel.w());
-    // Charged pass through the backend's bulk filter: the default is
-    // the historical per-tuple touch-then-copy loop; the native backend
-    // vectorizes the predicate. Logical ops: one per input tuple.
-    let copied =
-        ctx.mem
-            .select_lt_bulk(rel.base(), rel.n(), rel.w(), threshold, out.base(), out.w());
+    // Logical ops: one per input tuple.
     ctx.count_ops(rel.n());
-    debug_assert_eq!(copied, hits, "oracle and charged pass must agree");
-    out
+    ctx.finish_output(&out, hits)
 }
 
 /// Pattern of [`select_lt`]: `s_trav(U) ⊙ s_trav(W)`.
@@ -72,7 +85,9 @@ pub fn project<B: MemoryBackend>(
     out_name: &str,
 ) -> Relation {
     assert!((8..=rel.w()).contains(&u), "projection width must be 8..=w");
-    let out = ctx.relation(out_name, rel.n(), u);
+    let out = ctx
+        .relation(out_name, rel.n(), u)
+        .with_key_bound(rel.key_bound());
     for i in 0..rel.n() {
         let src = rel.tuple(i);
         ctx.mem.touch(src, u);

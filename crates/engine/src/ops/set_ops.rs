@@ -41,55 +41,6 @@ fn advance_dups<B: MemoryBackend>(
     i
 }
 
-fn count_host<B: MemoryBackend>(
-    ctx: &ExecContext<B>,
-    u: &Relation,
-    v: &Relation,
-    op: SetOp,
-) -> u64 {
-    let (mut i, mut j, mut out) = (0u64, 0u64, 0u64);
-    let host = &ctx.mem;
-    while i < u.n() || j < v.n() {
-        let ku = (i < u.n()).then(|| host.host_read_u64(u.tuple(i)));
-        let kv = (j < v.n()).then(|| host.host_read_u64(v.tuple(j)));
-        match (ku, kv) {
-            (Some(a), Some(b)) if a == b => {
-                if matches!(op, SetOp::Union | SetOp::Intersect) {
-                    out += 1;
-                }
-                i = advance_dups(ctx, u, i, a);
-                j = advance_dups(ctx, v, j, b);
-            }
-            (Some(a), Some(b)) if a < b => {
-                if matches!(op, SetOp::Union | SetOp::Difference) {
-                    out += 1;
-                }
-                i = advance_dups(ctx, u, i, a);
-            }
-            (Some(_), Some(b)) => {
-                if matches!(op, SetOp::Union) {
-                    out += 1;
-                }
-                j = advance_dups(ctx, v, j, b);
-            }
-            (Some(a), None) => {
-                if matches!(op, SetOp::Union | SetOp::Difference) {
-                    out += 1;
-                }
-                i = advance_dups(ctx, u, i, a);
-            }
-            (None, Some(b)) => {
-                if matches!(op, SetOp::Union) {
-                    out += 1;
-                }
-                j = advance_dups(ctx, v, j, b);
-            }
-            (None, None) => unreachable!("loop condition"),
-        }
-    }
-    out
-}
-
 /// Execute `op` over two key-sorted relations, producing a sorted,
 /// duplicate-free output of the same tuple width as `u`.
 pub fn set_op<B: MemoryBackend>(
@@ -99,8 +50,13 @@ pub fn set_op<B: MemoryBackend>(
     op: SetOp,
     out_name: &str,
 ) -> Relation {
-    let out_n = count_host(ctx, u, v, op);
-    let out = ctx.relation(out_name, out_n, u.w());
+    // Reserve the largest possible output at the allocation tip and cut
+    // it to size after the charged merge pass.
+    let bound = match op {
+        SetOp::Union => u.n() + v.n(),
+        SetOp::Intersect | SetOp::Difference => u.n(),
+    };
+    let out = ctx.relation(out_name, bound, u.w());
     let (mut i, mut j, mut cursor) = (0u64, 0u64, 0u64);
     let emit = |ctx: &mut ExecContext<B>, key: u64, cursor: &mut u64| {
         ctx.write_tuple(&out, *cursor, key);
@@ -146,8 +102,7 @@ pub fn set_op<B: MemoryBackend>(
             (None, None) => unreachable!("loop condition"),
         }
     }
-    debug_assert_eq!(cursor, out_n);
-    out
+    ctx.finish_output(&out, cursor)
 }
 
 /// Pattern of any [`set_op`]: `s_trav(U) ⊙ s_trav(V) ⊙ s_trav(W)` —

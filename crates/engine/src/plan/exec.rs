@@ -376,7 +376,7 @@ fn exec_node<B: MemoryBackend>(
                     let out = ops::aggregate::hash_group_count(ctx, &current, &name);
                     let h = Region::new(
                         format!("H({name})"),
-                        ops::hash::table_slots(out.n()),
+                        ops::aggregate::group_table_slots(current.n(), current.key_bound()),
                         ops::hash::ENTRY_BYTES,
                     );
                     phases.push(ops::aggregate::hash_group_pattern(
@@ -502,7 +502,8 @@ fn exec_join<B: MemoryBackend>(
                 );
                 let table =
                     ops::hash::HashTable::from_layout(ctx, &format!("H({name})"), &pre.layout);
-                let out = ops::hash::hash_join_with_table(ctx, u, &table, &name, OUT_TUPLE_BYTES);
+                let out = ops::hash::hash_join_with_table(ctx, u, &table, &name, OUT_TUPLE_BYTES)
+                    .with_key_bound(u.key_bound().min(v.key_bound()));
                 // The pattern cites the *canonical* region: co-admitted
                 // sharers present the same region identity, so Eq 5.3
                 // footprints count the build once.

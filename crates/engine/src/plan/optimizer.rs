@@ -595,7 +595,11 @@ impl<'a> Optimizer<'a> {
                 let region = Region::new("G", out_n, OUT_TUPLE_BYTES);
                 let mut stages = input.stages.clone();
                 if dop == 1 {
-                    let h = Region::new("H", ops::hash::table_slots(out_n), ops::hash::ENTRY_BYTES);
+                    let h = Region::new(
+                        "H",
+                        ops::aggregate::group_table_slots(s.n, s.key_bound),
+                        ops::hash::ENTRY_BYTES,
+                    );
                     stages.push(Stage::serial(
                         ops::aggregate::hash_group_pattern(&s.region, &h, &region),
                         2 * s.n + out_n,

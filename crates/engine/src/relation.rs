@@ -18,12 +18,16 @@ use gcm_sim::Addr;
 /// Minimum tuple width: the 8-byte key.
 pub const KEY_BYTES: u64 = 8;
 
+/// [`Relation::key_bound`] of a relation nothing is known about.
+pub const UNKNOWN_KEY_BOUND: u64 = u64::MAX;
+
 /// A dense table of fixed-width tuples in simulated memory.
 #[derive(Debug, Clone)]
 pub struct Relation {
     base: Addr,
     n: u64,
     w: u64,
+    key_bound: u64,
     region: Region,
 }
 
@@ -35,8 +39,25 @@ impl Relation {
             base,
             n,
             w,
+            key_bound: UNKNOWN_KEY_BOUND,
             region: Region::new(name, n, w),
         }
+    }
+
+    /// The same relation with an exclusive upper bound on its key values
+    /// recorded (see [`Relation::key_bound`]).
+    pub fn with_key_bound(mut self, bound: u64) -> Relation {
+        self.key_bound = bound;
+        self
+    }
+
+    /// Exclusive upper bound on the key values: every key is
+    /// `< key_bound()`, so the relation holds at most that many distinct
+    /// keys. Taken from the data (recorded when keys are loaded and
+    /// narrowed by the operators that derive a relation), never from
+    /// catalog statistics; [`UNKNOWN_KEY_BOUND`] when nothing is known.
+    pub fn key_bound(&self) -> u64 {
+        self.key_bound
     }
 
     /// Base address of the first tuple.
@@ -85,6 +106,7 @@ impl Relation {
             base: self.base + first * self.w,
             n: count,
             w: self.w,
+            key_bound: self.key_bound,
             region: self.region.slice_items(count),
         }
     }
@@ -112,6 +134,14 @@ mod tests {
         assert_eq!(s.n(), 20);
         assert_eq!(s.region().id(), r.region().id());
         assert_eq!(s.region().root_bytes(), 1600);
+    }
+
+    #[test]
+    fn key_bound_defaults_to_unknown_and_survives_subrange() {
+        let r = Relation::new("R", 4096, 100, 16);
+        assert_eq!(r.key_bound(), UNKNOWN_KEY_BOUND);
+        let r = r.with_key_bound(40);
+        assert_eq!(r.subrange(10, 20).key_bound(), 40);
     }
 
     #[test]

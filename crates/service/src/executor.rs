@@ -328,8 +328,8 @@ pub fn execute_batch_observed(
 /// simulated pool's; `measured_ns` is wall time over the plan execution
 /// only (table materialization happens before the measured interval,
 /// like the simulated pool's uncharged setup) — but it still contains
-/// the in-plan host-side oracle passes, output allocation, and CPU
-/// work, so compare against predictions with generous bounds.
+/// output allocation and CPU work, so compare against predictions with
+/// generous bounds.
 pub fn execute_batch_native(
     tables: &[Arc<TableData>],
     plans: &[&PhysicalPlan],

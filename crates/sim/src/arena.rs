@@ -52,6 +52,26 @@ impl Arena {
         base + offset
     }
 
+    /// Give back the tail `[end, tip)` of the most recent allocation:
+    /// the next allocation starts from `end`, exactly as if the last
+    /// allocation had been sized to stop there. Operators that learn
+    /// their output size in the charged pass reserve a bound at the tip
+    /// and release what they did not write. The released bytes must
+    /// still be zero (every allocation promises zeroed memory).
+    pub fn release_tail(&mut self, end: Addr) {
+        assert!(
+            (ARENA_BASE..=self.next).contains(&end),
+            "release point {end} outside the allocated range"
+        );
+        debug_assert!(
+            self.data[self.idx(end)..self.idx(self.next)]
+                .iter()
+                .all(|&b| b == 0),
+            "released tail was written"
+        );
+        self.next = end;
+    }
+
     /// Total bytes allocated so far.
     pub fn allocated(&self) -> u64 {
         self.next - ARENA_BASE
@@ -178,6 +198,30 @@ mod tests {
         let p = a.alloc(32, 8);
         assert_eq!(a.read_u64(p), 0);
         assert_eq!(a.read_u64(p + 24), 0);
+    }
+
+    #[test]
+    fn release_tail_rewinds_the_tip() {
+        let mut a = Arena::new();
+        let p = a.alloc(256, 64);
+        a.write_u64(p, 7);
+        a.release_tail(p + 8);
+        // The next allocation lands where an exact 8-byte one would
+        // have put it, and the reused bytes read as zero.
+        let q = a.alloc(16, 8);
+        assert_eq!(q, p + 8);
+        assert_eq!(a.read_u64(q), 0);
+        assert_eq!(a.read_u64(p), 7);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "released tail was written")]
+    fn release_tail_rejects_written_bytes() {
+        let mut a = Arena::new();
+        let p = a.alloc(64, 8);
+        a.write_u64(p + 16, 1);
+        a.release_tail(p + 8);
     }
 
     #[test]

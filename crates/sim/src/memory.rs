@@ -148,6 +148,12 @@ impl MemorySystem {
         self.arena.alloc(bytes, align)
     }
 
+    /// Give back the unwritten tail of the most recent allocation (see
+    /// [`Arena::release_tail`]).
+    pub fn release_tail(&mut self, end: Addr) {
+        self.arena.release_tail(end);
+    }
+
     /// Allocate with a deliberate misalignment (see [`Arena::alloc_offset`]).
     pub fn alloc_offset(&mut self, bytes: u64, align: u64, offset: u64) -> Addr {
         self.arena.alloc_offset(bytes, align, offset)

@@ -16,9 +16,9 @@
 //! ## Bounds (explicit and documented)
 //!
 //! Wall-clock measurements on a shared, possibly virtualized CI machine
-//! include host-side oracle passes, allocator work, and scheduling
-//! noise that neither the model nor the simulator prices, and the
-//! timing-only calibration cannot see line sizes. The *enforced*
+//! include allocator work and scheduling noise that neither the model
+//! nor the simulator prices, and the timing-only calibration cannot see
+//! line sizes. The *enforced*
 //! assertion pins predicted and measured totals within a factor of
 //! [`GENEROUS_BOUND`] (10×) of each other — tightened from the
 //! pre-kernel 25× now that (a) calibration also recovers the host TLB
@@ -26,12 +26,12 @@
 //! pattern through the bandwidth-overlap extension of Eq 6.1, which
 //! matches what the vectorized/prefetched kernels actually achieve.
 //! The `#[ignore]`d strict variant tightens this to [`STRICT_BOUND`]
-//! (4×) for runs on a quiet machine
+//! (2.5×) for runs on a quiet machine
 //! (`cargo test --release -- --ignored native_strict`); observed
-//! release-mode ratios on a quiet host are ~0.3–0.6 (residual
-//! underprediction comes from the host-side cardinality-oracle passes
-//! and output allocation, which the pattern language deliberately does
-//! not describe).
+//! release-mode ratios on a 2-vCPU VM are ~0.5–1.0 (residual
+//! underprediction comes mostly from output allocation and the
+//! partition histogram, which the pattern language deliberately does
+//! not describe; the operators run no host-side sizing pass).
 
 use gcm_calibrate::calibrate_host;
 use gcm_core::{CostModel, CpuCost, OverlapParams};
@@ -45,7 +45,7 @@ use gcm_workload::Workload;
 const GENEROUS_BOUND: f64 = 10.0;
 
 /// Strict agreement factor for quiet machines (`--ignored`).
-const STRICT_BOUND: f64 = 4.0;
+const STRICT_BOUND: f64 = 2.5;
 
 /// Calibration sweep ceiling: past the LLC of anything we run on in CI.
 const CAL_MAX_BYTES: u64 = 16 * 1024 * 1024;
