@@ -58,7 +58,7 @@ fn l1d_pred(rows: &[(String, f64)]) -> Option<f64> {
 }
 
 /// Walk the annotated tree collecting per-operator L1d rows (operator
-/// nodes only; scans and `parallel` wrappers carry no measurement).
+/// nodes only; scans carry no measurement).
 fn collect(node: &ExplainNode, out: &mut Vec<OpRow>) {
     for c in &node.children {
         collect(c, out);

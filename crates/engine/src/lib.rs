@@ -45,7 +45,6 @@ pub mod ctx;
 pub mod kernels;
 pub mod native;
 pub mod ops;
-pub mod parallel;
 pub mod plan;
 pub mod planner;
 pub mod query;

@@ -53,7 +53,7 @@ pub fn hash_group_count<B: MemoryBackend>(
         }
         let key = ctx.read_tuple(input, i);
         ctx.count_ops(1);
-        if upsert_add(ctx, &table, key, 1) {
+        if upsert_count(ctx, &table, key) {
             groups += 1;
             assert!(
                 2 * groups <= table.capacity(),
@@ -85,16 +85,10 @@ pub fn hash_group_count<B: MemoryBackend>(
     out
 }
 
-/// Add `delta` to `key`'s count in a counting hash table, inserting the
-/// key if absent (simulated accesses; linear probing); returns whether
-/// the key was inserted. Also the merge primitive of the parallel
-/// aggregation's per-thread partials ([`crate::parallel`]).
-pub(crate) fn upsert_add<B: MemoryBackend>(
-    ctx: &mut ExecContext<B>,
-    table: &HashTable,
-    key: u64,
-    delta: u64,
-) -> bool {
+/// Count one more `key` in a counting hash table, inserting the key if
+/// absent (simulated accesses; linear probing); returns whether the key
+/// was inserted.
+fn upsert_count<B: MemoryBackend>(ctx: &mut ExecContext<B>, table: &HashTable, key: u64) -> bool {
     let mask = table.capacity() - 1;
     let mut slot = crate::ops::mix(key) & mask;
     loop {
@@ -103,13 +97,13 @@ pub(crate) fn upsert_add<B: MemoryBackend>(
         ctx.count_ops(1);
         if resident == key {
             let c = ctx.mem.read_u64(addr + 8);
-            ctx.mem.write_u64(addr + 8, c + delta);
+            ctx.mem.write_u64(addr + 8, c + 1);
             return false;
         }
         if resident == EMPTY {
             ctx.mem.touch(addr, 16);
             ctx.mem.host_write_u64(addr, key);
-            ctx.mem.host_write_u64(addr + 8, delta);
+            ctx.mem.host_write_u64(addr + 8, 1);
             return true;
         }
         slot = (slot + 1) & mask;

@@ -97,10 +97,9 @@ pub fn execute_with_builds<B: MemoryBackend>(
 /// operator node once, post-order (children before parents), with the
 /// phases the node pushed, the backend counter delta across its
 /// execution, and its logical-op delta. Scan nodes bind tables without
-/// doing work and are not reported; `Parallel` wrappers are
-/// transparent. Tracing never changes what executes — counter
-/// snapshots are uncharged reads — so traced and untraced runs produce
-/// byte-identical results.
+/// doing work and are not reported. Tracing never changes what
+/// executes — counter snapshots are uncharged reads — so traced and
+/// untraced runs produce byte-identical results.
 pub trait ExecTracer<B: MemoryBackend> {
     /// Whether node reports will actually be consumed. `false` lets
     /// the executor skip counter snapshots entirely — the
@@ -258,18 +257,6 @@ fn next_name(seq: &mut u64) -> String {
     name
 }
 
-/// The base-table index a subtree binds directly (through `Parallel`
-/// wrappers), if it is a bare scan — the only build sides eligible for
-/// sharing: anything with operators in between (selects, joins) is
-/// query-specific data.
-fn base_scan(plan: &PhysicalPlan) -> Option<usize> {
-    match plan {
-        PhysicalPlan::Scan { table } => Some(*table),
-        PhysicalPlan::Parallel { input, .. } => base_scan(input),
-        _ => None,
-    }
-}
-
 /// Run one operator node's own work under the tracer: snapshot
 /// counters (only when the tracer will consume them), apply `f`, and
 /// report the deltas plus the phases `f` pushed.
@@ -352,12 +339,7 @@ fn exec_node<B: MemoryBackend>(
         } => {
             let u = exec_node(ctx, left, tables, builds, phases, seq, tracer)?;
             let v = exec_node(ctx, right, tables, builds, phases, seq, tracer)?;
-            // Shared builds only apply to hash joins whose build side
-            // is the base table itself.
-            let prebuilt = match algorithm {
-                JoinAlgorithm::Hash => base_scan(right).and_then(|t| builds.prebuilt(t)),
-                _ => None,
-            };
+            let prebuilt = plan.shared_build_table().and_then(|t| builds.prebuilt(t));
             let (label, class) = join_names(algorithm, prebuilt.is_some());
             run_traced(ctx, phases, tracer, label, class, |ctx, phases| {
                 exec_join(ctx, &u, &v, algorithm, prebuilt, phases, seq)
@@ -441,13 +423,6 @@ fn exec_node<B: MemoryBackend>(
                     parts.rel
                 },
             ))
-        }
-        // The cache simulator is single-core: a DOP annotation changes
-        // scheduling and pricing, never results, so this executor runs
-        // the wrapped operator serially. The multi-threaded realisation
-        // lives in [`crate::parallel`].
-        PhysicalPlan::Parallel { input, .. } => {
-            exec_node(ctx, input, tables, builds, phases, seq, tracer)
         }
     }
 }
@@ -678,31 +653,6 @@ mod tests {
             (0.3..3.0).contains(&ratio),
             "L2 misses: measured {measured}, predicted {predicted}"
         );
-    }
-
-    #[test]
-    fn parallel_wrapper_preserves_results() {
-        let (mut ctx, tables) = setup(82, 800, 200);
-        let serial = PhysicalPlan::scan(0)
-            .select_lt(100)
-            .join_with(
-                PhysicalPlan::scan(1),
-                JoinAlgorithm::PartitionedHash { m: 4 },
-            )
-            .group_count();
-        let wrapped = PhysicalPlan::scan(0)
-            .select_lt(100)
-            .parallel(4)
-            .join_with(
-                PhysicalPlan::scan(1),
-                JoinAlgorithm::PartitionedHash { m: 4 },
-            )
-            .parallel(2)
-            .group_count();
-        let a = execute(&mut ctx, &serial, &tables).unwrap();
-        let b = execute(&mut ctx, &wrapped, &tables).unwrap();
-        assert_eq!(a.output.n(), b.output.n());
-        assert_eq!(a.pattern.to_string(), b.pattern.to_string());
     }
 
     #[test]

@@ -72,8 +72,7 @@ pub struct NodePredict {
 }
 
 /// One node of the annotated plan tree. Scan nodes are bindings (no
-/// work) and `parallel` wrappers are scheduling annotations; both carry
-/// no measurement or prediction.
+/// work) and carry no measurement or prediction.
 #[derive(Debug, Clone)]
 pub struct ExplainNode {
     /// Display label, e.g. `"join[hash]"`.
@@ -437,65 +436,31 @@ fn attach(
             let r = attach(right, records, priced, next);
             operator(records, priced, next, vec![l, r])
         }
-        PhysicalPlan::Parallel { input, dop } => {
-            let child = attach(input, records, priced, next);
-            ExplainNode {
-                label: format!("parallel({dop})"),
-                class: "parallel".into(),
-                children: vec![child],
-                measured: None,
-                predicted: None,
-            }
-        }
     }
 }
 
 /// The operator classes a plan contains (used by the service to key
 /// whole-query drift observations without re-walking the tree).
 pub fn plan_classes(plan: &PhysicalPlan) -> Vec<&'static str> {
-    fn walk(plan: &PhysicalPlan, out: &mut Vec<&'static str>) {
-        match plan {
-            PhysicalPlan::Scan { .. } => {}
-            PhysicalPlan::Select { input, .. } => {
-                walk(input, out);
-                out.push("select");
-            }
-            PhysicalPlan::Aggregate { input } => {
-                walk(input, out);
-                out.push("aggregate");
-            }
-            PhysicalPlan::Sort { input } => {
-                walk(input, out);
-                out.push("sort");
-            }
-            PhysicalPlan::Dedup { input } => {
-                walk(input, out);
-                out.push("dedup");
-            }
-            PhysicalPlan::Partition { input, .. } => {
-                walk(input, out);
-                out.push("partition");
-            }
-            PhysicalPlan::Join {
-                left,
-                right,
-                algorithm,
-            } => {
-                walk(left, out);
-                walk(right, out);
-                out.push(match algorithm {
+    plan.nodes()
+        .into_iter()
+        .filter_map(|node| {
+            Some(match node {
+                PhysicalPlan::Scan { .. } => return None,
+                PhysicalPlan::Select { .. } => "select",
+                PhysicalPlan::Aggregate { .. } => "aggregate",
+                PhysicalPlan::Sort { .. } => "sort",
+                PhysicalPlan::Dedup { .. } => "dedup",
+                PhysicalPlan::Partition { .. } => "partition",
+                PhysicalPlan::Join { algorithm, .. } => match algorithm {
                     JoinAlgorithm::NestedLoop => "join_nl",
                     JoinAlgorithm::Merge { .. } => "join_merge",
                     JoinAlgorithm::Hash => "join_hash",
                     JoinAlgorithm::PartitionedHash { .. } => "join_part_hash",
-                });
-            }
-            PhysicalPlan::Parallel { input, .. } => walk(input, out),
-        }
-    }
-    let mut out = Vec::new();
-    walk(plan, &mut out);
-    out
+                },
+            })
+        })
+        .collect()
 }
 
 #[cfg(test)]

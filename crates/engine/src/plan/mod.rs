@@ -16,22 +16,17 @@
 //!   any number of base relations.
 //! * [`physical`] — the executable tree ([`PhysicalPlan`]): every join
 //!   node carries a [`JoinAlgorithm`](crate::planner::JoinAlgorithm),
-//!   every partition node a concrete fan-out, and any parallelisable
-//!   node may be wrapped in a `Parallel` annotation carrying its degree
-//!   of parallelism.
+//!   every partition node a concrete fan-out.
 //! * [`optimizer`] — enumerates physical alternatives per node (via the
 //!   per-node costing engine in [`crate::planner`]), prices each
-//!   complete tree stage by stage, and ranks them ([`Optimizer`]). On a
-//!   multi-core machine it also enumerates a DOP per parallelisable
-//!   stage, pricing a DOP-`d` stage as the `⊙`-composition of `d`
-//!   per-thread patterns on shared cache levels
-//!   ([`gcm_core::CostModel::advance_parallel`]) — so a stage backs off
-//!   to a lower DOP when the composed footprint overruns the shared
-//!   level, and to DOP 1 when the thread-spawn charge cannot be
-//!   amortised.
-//! * [`exec`] — lowers a physical plan onto the real operators in
-//!   [`crate::ops`], returning the actual result *and* the compound
-//!   pattern with actual intermediate cardinalities ([`execute`]).
+//!   complete tree stage by stage, and ranks them ([`Optimizer`]).
+//! * [`exec`] — the one executor: lowers a physical plan onto the real
+//!   operators in [`crate::ops`], serially on one core, returning the
+//!   actual result *and* the compound pattern with actual intermediate
+//!   cardinalities ([`execute`]). Concurrency across cores is a
+//!   property of the service's batches, not of a plan: its admission
+//!   controller prices co-running queries with `⊙`
+//!   ([`gcm_core::CostModel::batch_cost_shared`]).
 //!
 //! ```
 //! use gcm_core::CostModel;

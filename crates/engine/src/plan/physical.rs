@@ -54,20 +54,6 @@ pub enum PhysicalPlan {
         /// The chosen fan-out.
         m: u64,
     },
-    /// The wrapped operator's degree of parallelism — the plan's DOP
-    /// dimension. The optimizer prices it via the ⊙-across-cores rule
-    /// ([`gcm_core::CostModel::advance_parallel`]); the plan executor
-    /// ([`super::execute`]) runs the wrapped operator serially on its
-    /// single-core simulator (results never depend on DOP). The
-    /// multi-threaded realisations of the annotated operators are the
-    /// standalone [`crate::parallel`] functions, which report the
-    /// per-worker measured times the annotation promises.
-    Parallel {
-        /// The operator to run partition-parallel.
-        input: Box<PhysicalPlan>,
-        /// Number of worker threads (> 1; DOP-1 plans omit the wrapper).
-        dop: u64,
-    },
 }
 
 impl PhysicalPlan {
@@ -123,121 +109,76 @@ impl PhysicalPlan {
         }
     }
 
-    /// Run `self` partition-parallel with `dop` worker threads
-    /// (`dop <= 1` is the serial plan: no wrapper). Re-wrapping an
-    /// already-parallel node replaces its DOP instead of nesting, so a
-    /// plan's structure always matches what [`PhysicalPlan::dops`]
-    /// reports.
-    pub fn parallel(self, dop: u64) -> PhysicalPlan {
-        let input = match self {
-            PhysicalPlan::Parallel { input, .. } => input,
-            other => Box::new(other),
-        };
-        if dop <= 1 {
-            *input
-        } else {
-            PhysicalPlan::Parallel { input, dop }
+    /// Every node of the tree in execution order: left subtree, right
+    /// subtree, node (post-order; scans included).
+    pub fn nodes(&self) -> Vec<&PhysicalPlan> {
+        let mut out = Vec::new();
+        self.collect_nodes(&mut out);
+        out
+    }
+
+    fn collect_nodes<'a>(&'a self, out: &mut Vec<&'a PhysicalPlan>) {
+        match self {
+            PhysicalPlan::Scan { .. } => {}
+            PhysicalPlan::Select { input, .. }
+            | PhysicalPlan::Aggregate { input }
+            | PhysicalPlan::Sort { input }
+            | PhysicalPlan::Dedup { input }
+            | PhysicalPlan::Partition { input, .. } => input.collect_nodes(out),
+            PhysicalPlan::Join { left, right, .. } => {
+                left.collect_nodes(out);
+                right.collect_nodes(out);
+            }
         }
+        out.push(self);
     }
 
     /// Catalog indices of every base relation the tree scans, sorted
     /// and deduplicated (a self-join references its table once here).
     pub fn tables(&self) -> Vec<usize> {
-        let mut out = Vec::new();
-        self.collect_tables(&mut out);
+        let mut out: Vec<usize> = self
+            .nodes()
+            .into_iter()
+            .filter_map(|n| match n {
+                PhysicalPlan::Scan { table } => Some(*table),
+                _ => None,
+            })
+            .collect();
         out.sort_unstable();
         out.dedup();
         out
     }
 
-    fn collect_tables(&self, out: &mut Vec<usize>) {
-        match self {
-            PhysicalPlan::Scan { table } => out.push(*table),
-            PhysicalPlan::Select { input, .. }
-            | PhysicalPlan::Aggregate { input }
-            | PhysicalPlan::Sort { input }
-            | PhysicalPlan::Dedup { input }
-            | PhysicalPlan::Partition { input, .. }
-            | PhysicalPlan::Parallel { input, .. } => input.collect_tables(out),
-            PhysicalPlan::Join { left, right, .. } => {
-                left.collect_tables(out);
-                right.collect_tables(out);
-            }
-        }
-    }
-
     /// The join algorithms chosen along the tree, in execution order
     /// (left subtree, right subtree, node).
     pub fn join_algorithms(&self) -> Vec<&JoinAlgorithm> {
-        let mut out = Vec::new();
-        self.collect_joins(&mut out);
-        out
+        self.nodes()
+            .into_iter()
+            .filter_map(|n| match n {
+                PhysicalPlan::Join { algorithm, .. } => Some(algorithm),
+                _ => None,
+            })
+            .collect()
     }
 
-    fn collect_joins<'a>(&'a self, out: &mut Vec<&'a JoinAlgorithm>) {
+    /// The base table whose hash-join build a shared build can serve:
+    /// `Some(t)` when this node is a hash join whose build (right)
+    /// input is a bare `scan(t)`. Anything with operators in between
+    /// (selects, joins) is query-specific data and never shared. The
+    /// one rule both the executor and the service's build registry
+    /// follow.
+    pub fn shared_build_table(&self) -> Option<usize> {
         match self {
-            PhysicalPlan::Scan { .. } => {}
-            PhysicalPlan::Select { input, .. }
-            | PhysicalPlan::Aggregate { input }
-            | PhysicalPlan::Sort { input }
-            | PhysicalPlan::Dedup { input }
-            | PhysicalPlan::Partition { input, .. }
-            | PhysicalPlan::Parallel { input, .. } => input.collect_joins(out),
             PhysicalPlan::Join {
-                left,
                 right,
-                algorithm,
-            } => {
-                left.collect_joins(out);
-                right.collect_joins(out);
-                out.push(algorithm);
-            }
+                algorithm: JoinAlgorithm::Hash,
+                ..
+            } => match **right {
+                PhysicalPlan::Scan { table } => Some(table),
+                _ => None,
+            },
+            _ => None,
         }
-    }
-
-    /// The degrees of parallelism chosen along the tree, in execution
-    /// order (1 for every unwrapped operator).
-    pub fn dops(&self) -> Vec<u64> {
-        let mut out = Vec::new();
-        self.collect_dops(&mut out);
-        out
-    }
-
-    fn collect_dops(&self, out: &mut Vec<u64>) {
-        match self {
-            PhysicalPlan::Scan { .. } => {}
-            PhysicalPlan::Parallel { input, dop } => {
-                // The wrapped operator's own entry carries the DOP. A
-                // wrapper around a work-free subtree (a bare scan is a
-                // binding, not work) is a no-op annotation — consistent
-                // with the executor, which ignores it.
-                let before = out.len();
-                input.collect_dops(out);
-                if out.len() > before {
-                    if let Some(last) = out.last_mut() {
-                        *last = *dop;
-                    }
-                }
-            }
-            PhysicalPlan::Select { input, .. }
-            | PhysicalPlan::Aggregate { input }
-            | PhysicalPlan::Sort { input }
-            | PhysicalPlan::Dedup { input }
-            | PhysicalPlan::Partition { input, .. } => {
-                input.collect_dops(out);
-                out.push(1);
-            }
-            PhysicalPlan::Join { left, right, .. } => {
-                left.collect_dops(out);
-                right.collect_dops(out);
-                out.push(1);
-            }
-        }
-    }
-
-    /// The largest degree of parallelism anywhere in the tree.
-    pub fn max_dop(&self) -> u64 {
-        self.dops().into_iter().max().unwrap_or(1)
     }
 }
 
@@ -259,7 +200,6 @@ impl fmt::Display for PhysicalPlan {
             PhysicalPlan::Sort { input } => write!(f, "sort({input})"),
             PhysicalPlan::Dedup { input } => write!(f, "dedup({input})"),
             PhysicalPlan::Partition { input, m } => write!(f, "partition<{m}>({input})"),
-            PhysicalPlan::Parallel { input, dop } => write!(f, "par<{dop}>({input})"),
         }
     }
 }
@@ -303,53 +243,29 @@ mod tests {
     }
 
     #[test]
-    fn parallel_wrapper_renders_and_reports_dop() {
-        let p = PhysicalPlan::scan(0)
-            .select_lt(10)
-            .parallel(4)
-            .join_with(
-                PhysicalPlan::scan(1),
-                JoinAlgorithm::PartitionedHash { m: 8 },
-            )
-            .parallel(2)
+    fn shared_builds_need_a_hash_join_over_a_bare_scan() {
+        let scan = || PhysicalPlan::scan(1);
+        let fact = || PhysicalPlan::scan(0).select_lt(10);
+        let hash = fact().join_with(scan(), JoinAlgorithm::Hash);
+        assert_eq!(hash.shared_build_table(), Some(1));
+        // A filtered build side is query-specific data.
+        let filtered = fact().join_with(scan().select_lt(5), JoinAlgorithm::Hash);
+        assert_eq!(filtered.shared_build_table(), None);
+        // Other algorithms build nothing shareable.
+        let part = fact().join_with(scan(), JoinAlgorithm::PartitionedHash { m: 4 });
+        assert_eq!(part.shared_build_table(), None);
+        // Only the join node itself answers; `nodes` finds nested ones
+        // in execution order.
+        let star = hash
+            .join_with(PhysicalPlan::scan(2), JoinAlgorithm::Hash)
             .group_count();
-        assert_eq!(
-            p.to_string(),
-            "group_count(par<2>(join[partitioned hash join (m = 8)](\
-             par<4>(select_lt<10>(scan(0))), scan(1))))"
-        );
-        // dops in execution order: select (4), join (2), aggregate (1).
-        assert_eq!(p.dops(), vec![4, 2, 1]);
-        assert_eq!(p.max_dop(), 4);
-        // Joins are still found through the wrapper.
-        assert_eq!(p.join_algorithms().len(), 1);
-        // dop <= 1 adds no wrapper.
-        let serial = PhysicalPlan::scan(0).select_lt(10).parallel(1);
-        assert_eq!(serial.to_string(), "select_lt<10>(scan(0))");
-        assert_eq!(serial.max_dop(), 1);
-    }
-
-    #[test]
-    fn parallel_around_a_bare_scan_is_a_noop_annotation() {
-        // A scan is a binding, not work (the executor ignores the
-        // wrapper too): it contributes no dops entry, and it must not
-        // steal the DOP slot of an unrelated preceding operator.
-        let p = PhysicalPlan::scan(0)
-            .select_lt(10)
-            .join_with(PhysicalPlan::scan(1).parallel(2), JoinAlgorithm::Hash);
-        assert_eq!(p.dops(), vec![1, 1]); // select, join — both serial
-        assert_eq!(p.max_dop(), 1);
-        assert_eq!(PhysicalPlan::scan(0).parallel(4).dops(), Vec::<u64>::new());
-    }
-
-    #[test]
-    fn rewrapping_replaces_the_dop_instead_of_nesting() {
-        let p = PhysicalPlan::scan(0).select_lt(10).parallel(2).parallel(4);
-        assert_eq!(p.to_string(), "par<4>(select_lt<10>(scan(0)))");
-        assert_eq!(p.dops(), vec![4]);
-        // Re-wrapping down to 1 unwraps entirely.
-        let serial = PhysicalPlan::scan(0).select_lt(10).parallel(4).parallel(1);
-        assert_eq!(serial.to_string(), "select_lt<10>(scan(0))");
+        assert_eq!(star.shared_build_table(), None);
+        let builds: Vec<usize> = star
+            .nodes()
+            .into_iter()
+            .filter_map(PhysicalPlan::shared_build_table)
+            .collect();
+        assert_eq!(builds, vec![1, 2]);
     }
 
     #[test]
@@ -357,7 +273,6 @@ mod tests {
         let p = PhysicalPlan::scan(3)
             .select_lt(64)
             .join_with(PhysicalPlan::scan(1), JoinAlgorithm::Hash)
-            .parallel(2)
             .group_count();
         assert_eq!(p.tables(), vec![1, 3]);
         // A self-join references its table once.

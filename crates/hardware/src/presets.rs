@@ -272,7 +272,7 @@ pub fn with_ssd_buffer_pool(base: HardwareSpec, pool_bytes: u64, page: u64) -> H
 /// The tiny test machine as a `cores`-way SMP: per-core (private) L1 and
 /// TLB, one shared L2. The multi-core analogue of [`tiny`] — cache
 /// cliffs *and* sharing effects are reachable with kilobytes of data, so
-/// parallel-executor tests stay fast.
+/// multi-core model and service tests stay fast.
 pub fn tiny_smp(cores: u32) -> HardwareSpec {
     let base = tiny();
     let levels = base
@@ -298,8 +298,7 @@ pub fn tiny_smp(cores: u32) -> HardwareSpec {
 
 /// The modern commodity machine as a `cores`-way SMP: private L1/L2/TLB
 /// per core, the 32 MB L3 shared by all cores — the shape of a current
-/// desktop/server part. The ≥4-core preset of the parallel-speedup
-/// experiments.
+/// desktop/server part. The ≥4-core preset of the service experiments.
 pub fn modern_smp(cores: u32) -> HardwareSpec {
     let base = modern_commodity();
     HardwareSpec::new(

@@ -64,8 +64,8 @@ impl HardwareSpec {
     /// (rounded down to whole lines, at least one line) — the §5.2
     /// concurrent-execution rule applied across cores with equal shares.
     ///
-    /// The view is a single-core machine; it is the substrate the
-    /// partition-parallel executor runs each worker thread on.
+    /// The view is a single-core machine: the service optimizes plans on
+    /// `thread_view(1)`, and each batch member runs on a view of its own.
     pub fn thread_view(&self, dop: u32) -> HardwareSpec {
         let dop = dop.max(1);
         let levels = self

@@ -304,22 +304,28 @@ impl SpanRecorder {
     /// draining (new producers always get fresh lanes, so a lane held
     /// only by the registry can never fill again) — a long-running
     /// service that hands a sink to every batch worker stays at
-    /// O(live writers) memory instead of O(all writers ever).
+    /// O(live writers) memory instead of O(all writers ever). A lane
+    /// is judged abandoned before it is drained: a writer that pushes
+    /// after the drain and then drops its sink keeps its lane until the
+    /// next drain, so those spans are never reclaimed unread.
     #[cfg(feature = "span-tracing")]
     pub fn drain(&self) -> Vec<Span> {
         let mut lanes = self.inner.lanes.lock().unwrap();
         let mut out = Vec::new();
-        for lane in lanes.iter() {
-            lane.drain_into(&mut out);
-        }
         lanes.retain(|lane| {
-            if Arc::strong_count(lane) > 1 {
-                return true;
+            let abandoned = Arc::strong_count(lane) == 1;
+            if abandoned {
+                // Pairs with the sink drop's Release decrement: every
+                // push the producer made is visible to the drain below.
+                std::sync::atomic::fence(Ordering::Acquire);
             }
-            self.inner
-                .reclaimed_dropped
-                .fetch_add(lane.dropped.load(Ordering::Relaxed), Ordering::Relaxed);
-            false
+            lane.drain_into(&mut out);
+            if abandoned {
+                self.inner
+                    .reclaimed_dropped
+                    .fetch_add(lane.dropped.load(Ordering::Relaxed), Ordering::Relaxed);
+            }
+            !abandoned
         });
         out
     }

@@ -1,9 +1,8 @@
 //! ⊙-priced admission control: deciding which pending queries may run
 //! together.
 //!
-//! PR 3 let the cost model decide the degree of parallelism *within*
-//! one query; here the same `⊙`-across-cores rule
-//! ([`CostModel::batch_cost`]) decides concurrency *across* queries. A
+//! The `⊙`-across-cores rule ([`CostModel::batch_cost`]) decides
+//! concurrency *across* queries; each query itself runs serially. A
 //! batch of queries running on separate cores composes their whole
 //! compound patterns on every shared cache level (footprint-
 //! proportional shares, Eq 5.3), so the model predicts exactly the
@@ -79,6 +78,10 @@ pub struct Candidate<'a> {
     /// Predicted CPU time, ns.
     pub cpu_ns: f64,
 }
+
+/// Default per-worker dispatch charge, ns: putting one more worker to
+/// work on a batch (wake-up, scheduling, result hand-off).
+pub const DEFAULT_DISPATCH_NS: f64 = 25_000.0;
 
 /// Scheduler knobs (see [`crate::ServiceConfig`] for the defaults).
 #[derive(Debug, Clone, Copy)]
@@ -209,7 +212,7 @@ mod tests {
     fn cfg(max_batch: usize) -> AdmissionConfig {
         AdmissionConfig {
             max_batch,
-            dispatch_ns: 25_000.0,
+            dispatch_ns: DEFAULT_DISPATCH_NS,
         }
     }
 

@@ -167,6 +167,12 @@ impl BuildRegistry {
         self.entries.retain(|(_, e), _| *e >= epoch) as u64
     }
 
+    /// Drop every build of `table` (its data changed, whether or not
+    /// the statistics epoch moved). Returns how many were retired.
+    pub fn retire_table(&self, table: usize) -> u64 {
+        self.entries.retain(|(t, _), _| *t != table) as u64
+    }
+
     /// Number of builds currently held.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -233,6 +239,21 @@ mod tests {
         assert_eq!(reg.len(), 1);
         assert!(!reg.is_empty());
         assert_eq!(reg.retire_epochs_before(1), 0);
+    }
+
+    #[test]
+    fn retire_table_drops_every_epoch_of_that_table_only() {
+        let reg = BuildRegistry::new();
+        let keys = vec![1, 2, 3];
+        reg.get_or_build(0, 0, &keys);
+        reg.get_or_build(0, 1, &keys);
+        reg.get_or_build(1, 1, &keys);
+        assert_eq!(reg.retire_table(0), 2);
+        assert_eq!(reg.len(), 1);
+        // The next request rebuilds from the keys it is given.
+        let (b, computed) = reg.get_or_build(0, 1, &[4, 5]);
+        assert!(computed);
+        assert_eq!(*b.layout, hash::build_layout(&[4, 5]));
     }
 
     #[test]

@@ -1,20 +1,19 @@
 //! The executor pool: running an admitted batch on real worker
 //! threads, each query over its own simulated hierarchy view.
 //!
-//! Mirrors the measured side of the multi-core model
-//! ([`gcm_engine::parallel`]): a batch of `d` queries runs as `d`
-//! [`std::thread::scope`] workers, each executing its physical plan
-//! through the serial plan executor over an [`ExecContext`] on its own
-//! view of the machine — full private levels, plus the slice of every
-//! shared level the scheduler *allocated* to it. Allocations are
+//! The measured side of the multi-core model: a batch of `d` queries
+//! runs as `d` [`std::thread::scope`] workers, each executing its
+//! physical plan through the plan executor over an [`ExecContext`] on
+//! its own view of the machine — full private levels, plus the slice of
+//! every shared level the scheduler *allocated* to it. Allocations are
 //! footprint-proportional ([`member_views`]), i.e. the service enforces
-//! exactly the Eq 5.3 shares the admission controller priced (the way
-//! a real serving system partitions its buffer pool or LLC ways among
+//! exactly the Eq 5.3 shares the admission controller priced (the way a
+//! real serving system partitions its buffer pool or LLC ways among
 //! admitted queries) — so a batch the model admitted cannot be wrecked
 //! by a co-runner grabbing more of the shared level than its footprint
-//! warrants. A query's measured latency is its charged memory time
-//! plus the per-op CPU charge (Eq 6.1), and the batch's measured wall
-//! is the slowest member, which is what the `⊙` composition predicted.
+//! warrants. A query's measured latency is its charged memory time plus
+//! the per-op CPU charge (Eq 6.1), and the batch's measured wall is the
+//! slowest member, which is what the `⊙` composition predicted.
 
 use crate::builds::SharedBuild;
 use gcm_core::{

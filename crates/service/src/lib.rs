@@ -1,11 +1,10 @@
 //! # gcm-service — a cache-contention-aware query service
 //!
 //! The paper's `⊙` operator (§5.2, Eq 5.3) prices access patterns that
-//! *coexist* in one cache hierarchy. PR 3 applied it to the threads of
-//! a single query; this crate applies it **between queries**: a
-//! concurrent service that accepts logical plans over registered
-//! relations and lets the cost model itself decide how the machine is
-//! shared. Three cooperating components:
+//! *coexist* in one cache hierarchy. This crate applies it **between
+//! queries**: a concurrent service that accepts logical plans over
+//! registered relations and lets the cost model itself decide how the
+//! machine is shared. Three cooperating components:
 //!
 //! * a **plan cache** ([`cache::PlanCache`]) memoizing
 //!   [`optimize_and_lower`] per (plan fingerprint, statistics epoch) —
@@ -16,7 +15,7 @@
 //!   only while the `⊙`-composed batch wall time
 //!   ([`gcm_core::CostModel::batch_cost`]) beats appending the query
 //!   serially — the model decides the concurrency degree across
-//!   queries exactly the way the optimizer decides DOP within one;
+//!   queries, while each query's plan runs serially on one core;
 //! * an **executor pool** ([`executor`]) of [`std::thread::scope`]
 //!   workers, each running one admitted query over its own simulated
 //!   hierarchy view, reporting per-query latency and
@@ -62,7 +61,7 @@ pub mod metrics;
 pub mod mix;
 pub mod recalibrate;
 
-pub use admission::{AdmissionConfig, BatchDecision, SloPolicy};
+pub use admission::{AdmissionConfig, BatchDecision, SloPolicy, DEFAULT_DISPATCH_NS};
 pub use builds::{strip_build_phase, BuildRegistry, SharedBuild};
 #[cfg(feature = "mutex-baseline")]
 pub use cache::MutexPlanCache;
@@ -75,11 +74,9 @@ pub use recalibrate::{Recalibration, Recalibrator};
 use gcm_core::{CostModel, CpuCost, Pattern, Region};
 use gcm_engine::ops::hash::build_ops;
 use gcm_engine::plan::{
-    catalog::DEFAULT_DRIFT_THRESHOLD, explain_analyze, optimize_and_lower,
-    optimizer::DEFAULT_THREAD_SPAWN_NS, plan_classes, ExplainReport, LogicalPlan, PhysicalPlan,
-    PlanError, PlannedQuery, StatsCatalog, TableStats,
+    catalog::DEFAULT_DRIFT_THRESHOLD, explain_analyze, optimize_and_lower, plan_classes,
+    ExplainReport, LogicalPlan, PhysicalPlan, PlanError, PlannedQuery, StatsCatalog, TableStats,
 };
-use gcm_engine::planner::JoinAlgorithm;
 use gcm_engine::{ExecContext, Relation};
 use gcm_hardware::HardwareSpec;
 use gcm_obs::pmu::PmuStatus;
@@ -112,7 +109,7 @@ impl Default for ServiceConfig {
         ServiceConfig {
             max_batch: 0,
             per_op_ns: CpuCost::DEFAULT_PLANNER_PER_OP_NS,
-            dispatch_ns: DEFAULT_THREAD_SPAWN_NS,
+            dispatch_ns: DEFAULT_DISPATCH_NS,
             drift_threshold: DEFAULT_DRIFT_THRESHOLD,
             slo: None,
         }
@@ -323,7 +320,10 @@ impl QueryService {
 
     /// Replace a registered relation's data, refreshing its statistics.
     /// Returns `true` when the stats drifted past the threshold and
-    /// bumped the epoch (stale plan-cache entries are retired).
+    /// bumped the epoch (stale plan-cache entries are retired). The
+    /// table's shared builds are retired either way: a build is a
+    /// function of the data, not of the statistics, so one that
+    /// survived a below-threshold update would serve the old keys.
     pub fn update_table(&mut self, idx: usize, keys: Vec<u64>) -> bool {
         let w = self.tables[idx].w;
         let stats = derive_stats(&keys, w);
@@ -332,6 +332,7 @@ impl QueryService {
             keys,
             w,
         });
+        self.builds.retire_table(idx);
         let bumped = self.catalog.update(idx, stats);
         if bumped {
             let epoch = self.catalog.epoch();
@@ -430,7 +431,12 @@ impl QueryService {
         let mut pattern = planned.pattern.clone();
         let mut cpu_ns = planned.cpu_ns;
         let mut builds: Vec<Arc<SharedBuild>> = Vec::new();
-        for t in hash_build_tables(&planned.plan) {
+        for t in planned
+            .plan
+            .nodes()
+            .into_iter()
+            .filter_map(PhysicalPlan::shared_build_table)
+        {
             let Some(data) = self.tables.get(t) else {
                 continue;
             };
@@ -1003,46 +1009,6 @@ impl QueryService {
     }
 }
 
-/// Catalog indices of every hash join in the plan whose build (inner)
-/// side is a base-table scan — the joins a [`SharedBuild`] can serve.
-/// One entry per join occurrence, in plan order.
-fn hash_build_tables(plan: &PhysicalPlan) -> Vec<usize> {
-    fn base_scan(p: &PhysicalPlan) -> Option<usize> {
-        match p {
-            PhysicalPlan::Scan { table } => Some(*table),
-            PhysicalPlan::Parallel { input, .. } => base_scan(input),
-            _ => None,
-        }
-    }
-    fn walk(p: &PhysicalPlan, out: &mut Vec<usize>) {
-        match p {
-            PhysicalPlan::Scan { .. } => {}
-            PhysicalPlan::Select { input, .. }
-            | PhysicalPlan::Aggregate { input }
-            | PhysicalPlan::Sort { input }
-            | PhysicalPlan::Dedup { input }
-            | PhysicalPlan::Partition { input, .. }
-            | PhysicalPlan::Parallel { input, .. } => walk(input, out),
-            PhysicalPlan::Join {
-                left,
-                right,
-                algorithm,
-            } => {
-                walk(left, out);
-                walk(right, out);
-                if *algorithm == JoinAlgorithm::Hash {
-                    if let Some(t) = base_scan(right) {
-                        out.push(t);
-                    }
-                }
-            }
-        }
-    }
-    let mut out = Vec::new();
-    walk(plan, &mut out);
-    out
-}
-
 /// The canonical regions of every shared build attached to `entries`,
 /// each exactly once — the `shared` list for Eq 5.3-with-shared-data
 /// pricing and for the executor's member views.
@@ -1175,6 +1141,46 @@ mod tests {
         svc.submit(plan).unwrap();
         assert_eq!(svc.cache().optimizer_runs(), 2);
         svc.run().unwrap();
+    }
+
+    #[test]
+    fn below_threshold_update_retires_the_tables_shared_builds() {
+        // Rewrite the dimension's last key 999 → 1000: still sorted and
+        // distinct, so the statistics epoch stays put. A join submitted
+        // afterwards must see the new keys, not a build of the old ones.
+        let fact: Vec<u64> = (0..4_000).map(|i| (i * 7) % 1_000).collect();
+        let old_dim: Vec<u64> = (0..1_000).collect();
+        let mut new_dim = old_dim.clone();
+        new_dim[999] = 1_000;
+        let join = LogicalPlan::scan(0)
+            .join(LogicalPlan::scan(1))
+            .group_count();
+        let run_join = |svc: &mut QueryService| {
+            let id = svc.submit(join.clone()).unwrap();
+            svc.run().unwrap();
+            let q = svc.metrics().queries.iter().find(|q| q.id == id).unwrap();
+            (q.output_n, q.output_hash)
+        };
+        // On this machine the optimizer joins with a plain hash join
+        // over scan(D): the shape a shared build serves.
+        let service_over = |dim: Vec<u64>| {
+            let mut svc = QueryService::new(presets::modern_smp(4));
+            svc.register_table("F", fact.clone(), 8);
+            svc.register_table("D", dim, 8);
+            svc
+        };
+        let mut fresh = service_over(new_dim.clone());
+        let expected = run_join(&mut fresh);
+        assert_eq!(expected.0, 999, "keys 0..999 match the fact table");
+
+        let mut svc = service_over(old_dim);
+        run_join(&mut svc); // registers the shared build over D
+        assert!(!svc.update_table(1, new_dim));
+        assert_eq!(svc.catalog().epoch(), 0);
+        assert_eq!(run_join(&mut svc), expected);
+        // The rebuilt build serves later joins, with the new keys.
+        assert_eq!(run_join(&mut svc), expected);
+        assert!(svc.metrics().builds_reused > 0, "the shared path ran");
     }
 
     #[test]

@@ -103,10 +103,9 @@ impl Workload {
 
     /// A star scenario whose fact table references its dimensions with
     /// Zipf-skewed foreign keys (exponent `theta`; `theta = 0` recovers
-    /// [`Workload::star_scenario`]'s uniform shape). The partition-skew
-    /// workload of the parallel-join experiments: chained fact ⋈ dim
-    /// joins still preserve the fact cardinality, but partition-
-    /// parallel workers inherit very unequal probe loads.
+    /// [`Workload::star_scenario`]'s uniform shape): chained fact ⋈ dim
+    /// joins still preserve the fact cardinality, but a few hot keys
+    /// carry most of the probe load.
     pub fn skewed_star_scenario(
         &mut self,
         fact_n: usize,

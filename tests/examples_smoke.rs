@@ -14,7 +14,6 @@ const EXAMPLES: &[&str] = &[
     "io_cost",
     "join_planner",
     "optimize_query",
-    "parallel_query",
     "partition_tuning",
     "serve_mixed_tenants",
     "calibrate_then_model",

@@ -84,8 +84,7 @@ proptest! {
 
     /// Zipf-skewed fact tables: the optimizer must stay near-best when
     /// foreign keys pile onto a few hot dimension keys (duplicate-heavy
-    /// inputs stress both the distinct estimates and, in the parallel
-    /// executor, partition balance).
+    /// inputs stress the distinct estimates).
     #[test]
     fn chosen_plan_is_near_best_under_key_skew(
         seed in 0u64..1_000_000,
