@@ -5,8 +5,8 @@
 //! * **disabled** (recorder present, `set_enabled(false)`): the traced
 //!   executor path costs one relaxed atomic load per operator node —
 //!   host wall time within **5%** of the untraced path;
-//! * **enabled**: per-node counter snapshots plus a lock-free ring
-//!   push — within **25%** of untraced.
+//! * **enabled**: per-node counter snapshots, a buffered span each,
+//!   and their lock-free ring pushes — within **25%** of untraced.
 //!
 //! Methodology: the same two-join plan executes over the simulator in
 //! three modes (untraced / disabled / enabled), `ROUNDS` times each,
@@ -66,15 +66,20 @@ fn main() {
         let t0 = Instant::now();
         let out = match mode {
             "untraced" => plan::execute_with_builds(&mut ctx, &planned.plan, &tables, &NoPrebuilt),
-            "disabled" => {
-                recorder.set_enabled(false);
-                let mut tracer = SpanTracer::new(&mut sink);
-                plan::execute_traced(&mut ctx, &planned.plan, &tables, &NoPrebuilt, &mut tracer)
-            }
-            "enabled" => {
-                recorder.set_enabled(true);
-                let mut tracer = SpanTracer::new(&mut sink);
-                plan::execute_traced(&mut ctx, &planned.plan, &tables, &NoPrebuilt, &mut tracer)
+            "disabled" | "enabled" => {
+                recorder.set_enabled(mode == "enabled");
+                let mut tracer = SpanTracer::new(&recorder, &planned.plan);
+                let out = plan::execute_traced(
+                    &mut ctx,
+                    &planned.plan,
+                    &tables,
+                    &NoPrebuilt,
+                    &mut tracer,
+                );
+                for span in tracer.into_spans() {
+                    sink.record(span);
+                }
+                out
             }
             _ => plan::execute_traced(&mut ctx, &planned.plan, &tables, &NoPrebuilt, &mut NoTrace),
         }

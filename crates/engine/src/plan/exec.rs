@@ -17,7 +17,7 @@ use crate::ops;
 use crate::planner::JoinAlgorithm;
 use crate::relation::Relation;
 use gcm_core::{Pattern, Region};
-use gcm_obs::span::{Span, SpanKind, SpanSink};
+use gcm_obs::span::{Span, SpanKind, SpanRecorder};
 use std::sync::Arc;
 
 /// Result of executing a plan: the real output plus the compound
@@ -115,7 +115,7 @@ pub trait ExecTracer<B: MemoryBackend> {
     fn node(
         &mut self,
         mem: &B,
-        label: &str,
+        label: &'static str,
         class: &str,
         pattern: &Pattern,
         delta: &B::Counters,
@@ -133,47 +133,67 @@ impl<B: MemoryBackend> ExecTracer<B> for NoTrace {
         false
     }
 
-    fn node(&mut self, _: &B, _: &str, _: &str, _: &Pattern, _: &B::Counters, _: u64) {}
+    fn node(&mut self, _: &B, _: &'static str, _: &str, _: &Pattern, _: &B::Counters, _: u64) {}
 }
 
-/// An [`ExecTracer`] that records one [`SpanKind::Execute`] span per
-/// operator node into a [`SpanSink`] lane, carrying the backend's
-/// counter deltas (charged accesses and per-level misses on the sim
-/// backend, wall-ns on native).
+/// An [`ExecTracer`] that buffers one [`SpanKind::Execute`] span per
+/// operator node, carrying the backend's counter deltas (charged
+/// accesses and per-level misses on the sim backend, wall-ns on
+/// native), for the caller to record on its own
+/// [`SpanSink`](gcm_obs::SpanSink) lane
+/// ([`into_spans`](SpanTracer::into_spans)). A tracer made on one
+/// thread can run a plan on another and come back: while it has room
+/// for every node it allocates nothing on the running thread (span
+/// names are filled in by `into_spans`), so no span outlives that
+/// thread's allocations.
 ///
 /// Children execute before their parent's own work, so each span
 /// covers the node's **exclusive** time: the span's interval starts
 /// where the previous completed node's ended.
 pub struct SpanTracer<'a> {
-    sink: &'a mut SpanSink,
+    clock: &'a SpanRecorder,
     cursor_ns: u64,
+    nodes: Vec<(&'static str, Span)>,
 }
 
 impl<'a> SpanTracer<'a> {
-    /// A tracer appending to `sink`, starting its interval clock now.
-    pub fn new(sink: &'a mut SpanSink) -> SpanTracer<'a> {
-        let cursor_ns = sink.now_ns();
-        SpanTracer { sink, cursor_ns }
+    /// A tracer on `clock`'s timebase (and on/off switch) with room for
+    /// the nodes of `plan`, starting its interval clock now.
+    pub fn new(clock: &'a SpanRecorder, plan: &PhysicalPlan) -> SpanTracer<'a> {
+        SpanTracer {
+            clock,
+            cursor_ns: clock.now_ns(),
+            nodes: Vec::with_capacity(plan.nodes().len()),
+        }
+    }
+
+    /// The buffered spans, named, in execution order.
+    pub fn into_spans(self) -> Vec<Span> {
+        let named = |(label, span): (&str, Span)| Span {
+            name: label.to_string(),
+            ..span
+        };
+        self.nodes.into_iter().map(named).collect()
     }
 }
 
 impl<B: MemoryBackend> ExecTracer<B> for SpanTracer<'_> {
     fn active(&self) -> bool {
-        self.sink.active()
+        self.clock.enabled()
     }
 
     fn node(
         &mut self,
         mem: &B,
-        label: &str,
+        label: &'static str,
         _class: &str,
         _pattern: &Pattern,
         delta: &B::Counters,
         ops: u64,
     ) {
-        let end_ns = self.sink.now_ns();
-        self.sink.record(Span {
-            name: label.to_string(),
+        let end_ns = self.clock.now_ns();
+        let span = Span {
+            name: String::new(),
             kind: SpanKind::Execute,
             start_ns: self.cursor_ns,
             end_ns,
@@ -183,7 +203,8 @@ impl<B: MemoryBackend> ExecTracer<B> for SpanTracer<'_> {
             ops,
             lane: 0,
             seq: 0,
-        });
+        };
+        self.nodes.push((label, span));
         self.cursor_ns = end_ns;
     }
 }
@@ -264,7 +285,7 @@ fn run_traced<B: MemoryBackend, T>(
     ctx: &mut ExecContext<B>,
     phases: &mut Vec<Pattern>,
     tracer: &mut dyn ExecTracer<B>,
-    label: &str,
+    label: &'static str,
     class: &str,
     f: impl FnOnce(&mut ExecContext<B>, &mut Vec<Pattern>) -> T,
 ) -> T {

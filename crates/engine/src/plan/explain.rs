@@ -254,7 +254,7 @@ impl<B: MemoryBackend> ExecTracer<B> for Collect<B> {
     fn node(
         &mut self,
         mem: &B,
-        label: &str,
+        label: &'static str,
         class: &str,
         pattern: &Pattern,
         delta: &B::Counters,

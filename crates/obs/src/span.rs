@@ -263,9 +263,10 @@ impl SpanRecorder {
         self.inner.enabled.store(on, Ordering::Relaxed);
     }
 
-    /// Whether spans are currently being recorded.
+    /// Whether spans are currently being recorded (never, when the
+    /// `span-tracing` feature is compiled out).
     pub fn enabled(&self) -> bool {
-        self.inner.enabled.load(Ordering::Relaxed)
+        cfg!(feature = "span-tracing") && self.inner.enabled.load(Ordering::Relaxed)
     }
 
     /// Nanoseconds since this recorder was created — the timebase for
@@ -377,7 +378,7 @@ impl SpanSink {
     /// Whether a record call would actually store a span. Callers use
     /// this to skip collecting counter deltas when tracing is off.
     pub fn active(&self) -> bool {
-        cfg!(feature = "span-tracing") && self.recorder.enabled()
+        self.recorder.enabled()
     }
 
     /// Nanoseconds since the recorder's epoch.

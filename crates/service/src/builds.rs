@@ -22,9 +22,10 @@
 
 use gcm_core::{Pattern, Region, RegionId};
 use gcm_engine::ops::hash::{self, ENTRY_BYTES};
+use gcm_engine::plan::TableDef;
 use gcm_trie::TrieMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 /// Rewrite a whole-plan pattern for a query reusing a shared build over
 /// the base table whose stat region is named `table_region`: find the
@@ -113,6 +114,29 @@ pub struct SharedBuild {
     /// EMPTY-keyed in vacant slots. Workers materialize it host-side
     /// ([`gcm_engine::plan::PrebuiltBuild`]) without charged accesses.
     pub layout: Arc<Vec<u64>>,
+    /// The table data the layout was built from (weak: a queued query
+    /// holding the build must not keep a replaced table's keys alive).
+    source: Weak<TableDef>,
+}
+
+impl SharedBuild {
+    /// Whether the build was made from `data` (false once its table was
+    /// rewritten, even for a query that attached it before the write).
+    pub fn built_from(&self, data: &Arc<TableDef>) -> bool {
+        std::ptr::eq(self.source.as_ptr(), Arc::as_ptr(data))
+    }
+}
+
+/// The canonical regions of `builds`, each once: the `shared` list of
+/// [`gcm_core::CostModel::batch_cost_shared`] and the member views.
+pub fn shared_regions<'a>(builds: impl IntoIterator<Item = &'a Arc<SharedBuild>>) -> Vec<Region> {
+    let mut out: Vec<Region> = Vec::new();
+    for b in builds {
+        if !out.iter().any(|r| r.id() == b.region.id()) {
+            out.push(b.region.clone());
+        }
+    }
+    out
 }
 
 /// Registry of shared builds keyed by (table, epoch).
@@ -137,7 +161,12 @@ impl BuildRegistry {
     /// skip the build. The hit path is a wait-free snapshot read; two
     /// concurrent first requests may both compute the layout but publish
     /// (and hand out) exactly one build.
-    pub fn get_or_build(&self, table: usize, epoch: u64, keys: &[u64]) -> (Arc<SharedBuild>, bool) {
+    pub fn get_or_build(
+        &self,
+        table: usize,
+        epoch: u64,
+        data: &Arc<TableDef>,
+    ) -> (Arc<SharedBuild>, bool) {
         if let Some(b) = self.entries.snapshot().get(&(table, epoch)) {
             self.reused.fetch_add(1, Ordering::Relaxed);
             return (Arc::clone(b), false);
@@ -145,12 +174,13 @@ impl BuildRegistry {
         let mut computed = false;
         let b = self.entries.get_or_insert_with((table, epoch), || {
             computed = true;
-            let slots = hash::table_slots(keys.len() as u64);
+            let slots = hash::table_slots(data.keys.len() as u64);
             Arc::new(SharedBuild {
                 table,
                 epoch,
                 region: Region::new(format!("H#{table}@{epoch}"), slots, ENTRY_BYTES),
-                layout: Arc::new(hash::build_layout(keys)),
+                layout: Arc::new(hash::build_layout(&data.keys)),
+                source: Arc::downgrade(data),
             })
         });
         if computed {
@@ -198,10 +228,14 @@ impl BuildRegistry {
 mod tests {
     use super::*;
 
+    fn table(keys: &[u64]) -> Arc<TableDef> {
+        Arc::new(TableDef::new("T", keys.to_vec(), 8))
+    }
+
     #[test]
     fn same_key_returns_the_same_build() {
         let reg = BuildRegistry::new();
-        let keys: Vec<u64> = (0..500).map(|i| (i * 7) % 400).collect();
+        let keys = table(&(0..500).map(|i| (i * 7) % 400).collect::<Vec<u64>>());
         let (a, first) = reg.get_or_build(0, 0, &keys);
         let (b, second) = reg.get_or_build(0, 0, &keys);
         assert!(first, "first request computes");
@@ -220,9 +254,9 @@ mod tests {
     #[test]
     fn layout_matches_the_pure_function() {
         let reg = BuildRegistry::new();
-        let keys: Vec<u64> = (0..300).map(|i| (i * 13) % 250).collect();
+        let keys = table(&(0..300).map(|i| (i * 13) % 250).collect::<Vec<u64>>());
         let (b, _) = reg.get_or_build(2, 5, &keys);
-        assert_eq!(*b.layout, hash::build_layout(&keys));
+        assert_eq!(*b.layout, hash::build_layout(&keys.keys));
         assert_eq!(b.region.bytes(), b.layout.len() as u64 * 8);
         assert_eq!(b.table, 2);
         assert_eq!(b.epoch, 5);
@@ -231,7 +265,7 @@ mod tests {
     #[test]
     fn retire_drops_stale_epochs_only() {
         let reg = BuildRegistry::new();
-        let keys = vec![1, 2, 3];
+        let keys = table(&[1, 2, 3]);
         reg.get_or_build(0, 0, &keys);
         reg.get_or_build(1, 0, &keys);
         reg.get_or_build(0, 1, &keys);
@@ -244,14 +278,14 @@ mod tests {
     #[test]
     fn retire_table_drops_every_epoch_of_that_table_only() {
         let reg = BuildRegistry::new();
-        let keys = vec![1, 2, 3];
+        let keys = table(&[1, 2, 3]);
         reg.get_or_build(0, 0, &keys);
         reg.get_or_build(0, 1, &keys);
         reg.get_or_build(1, 1, &keys);
         assert_eq!(reg.retire_table(0), 2);
         assert_eq!(reg.len(), 1);
         // The next request rebuilds from the keys it is given.
-        let (b, computed) = reg.get_or_build(0, 1, &[4, 5]);
+        let (b, computed) = reg.get_or_build(0, 1, &table(&[4, 5]));
         assert!(computed);
         assert_eq!(*b.layout, hash::build_layout(&[4, 5]));
     }
@@ -292,7 +326,7 @@ mod tests {
     #[test]
     fn concurrent_requests_share_one_build() {
         let reg = Arc::new(BuildRegistry::new());
-        let keys: Vec<u64> = (0..200).collect();
+        let keys = table(&(0..200).collect::<Vec<u64>>());
         let builds: Vec<Arc<SharedBuild>> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..8)
                 .map(|_| {

@@ -1,52 +1,47 @@
 //! The executor pool: running an admitted batch on real worker
-//! threads, each query over its own simulated hierarchy view.
+//! threads, one query per worker, on either memory backend.
 //!
 //! The measured side of the multi-core model: a batch of `d` queries
 //! runs as `d` [`std::thread::scope`] workers, each executing its
-//! physical plan through the plan executor over an [`ExecContext`] on
-//! its own view of the machine — full private levels, plus the slice of
-//! every shared level the scheduler *allocated* to it. Allocations are
-//! footprint-proportional ([`member_views`]), i.e. the service enforces
-//! exactly the Eq 5.3 shares the admission controller priced (the way a
-//! real serving system partitions its buffer pool or LLC ways among
-//! admitted queries) — so a batch the model admitted cannot be wrecked
-//! by a co-runner grabbing more of the shared level than its footprint
-//! warrants. A query's measured latency is its charged memory time plus
-//! the per-op CPU charge (Eq 6.1), and the batch's measured wall is the
-//! slowest member, which is what the `⊙` composition predicted.
+//! physical plan through the plan executor over its own
+//! [`ExecContext`] and probing the shared builds admission priced.
+//! [`execute_batch`] does this on both backends; [`BatchBackend`] holds
+//! the two things that differ:
+//!
+//! * **A worker's context.** On the simulator each worker runs on its
+//!   own view of the machine: full private levels, plus the slice of
+//!   every shared level the scheduler *allocated* to it. Allocations are
+//!   footprint-proportional ([`member_views`]), i.e. the service enforces
+//!   exactly the Eq 5.3 shares the admission controller priced (the way a
+//!   real serving system partitions its buffer pool or LLC ways among
+//!   admitted queries). On native memory each worker gets real buffers
+//!   and the hardware shares its caches itself.
+//! * **The batch's measured wall.** On the simulator, the slowest
+//!   member's charged memory time plus per-op CPU charge (Eq 6.1) — what
+//!   the `⊙` composition predicted — plus the dispatch admission charged;
+//!   on native memory, the host clock around the whole batch.
 
-use crate::builds::SharedBuild;
+use crate::builds::{shared_regions, SharedBuild};
 use gcm_core::{
     footprint_lines, footprint_lines_excluding, references_region, Geometry, Pattern, Region,
     RegionId,
 };
 use gcm_engine::plan::{
-    self, BuildSource, ExecTracer, NoPrebuilt, NoTrace, PhysicalPlan, PlanError, PrebuiltBuild,
-    SpanTracer,
+    self, BuildSource, ExecTracer, PhysicalPlan, PlanError, PrebuiltBuild, SpanTracer, TableDef,
 };
-use gcm_engine::{ExecContext, MemoryBackend, NativeBackend, Relation};
+use gcm_engine::{ExecContext, MemoryBackend, NativeBackend, Relation, SimBackend};
 use gcm_hardware::{HardwareSpec, Sharing};
-use gcm_obs::SpanRecorder;
+use gcm_obs::{Span, SpanRecorder};
 use std::sync::Arc;
+use std::time::Instant;
 
-/// The builds one batch member may reuse, as a [`BuildSource`] for the
-/// plan executor: `prebuilt(t)` answers with the member's shared build
-/// over table `t`, if it holds one.
-#[derive(Debug, Default)]
-pub struct MemberBuilds {
-    builds: Vec<Arc<SharedBuild>>,
-}
-
-impl MemberBuilds {
-    /// A source over the given shared builds.
-    pub fn new(builds: Vec<Arc<SharedBuild>>) -> MemberBuilds {
-        MemberBuilds { builds }
-    }
-}
+/// The builds one batch member probes, as a [`BuildSource`] for the
+/// plan executor.
+struct MemberBuilds(Vec<Arc<SharedBuild>>);
 
 impl BuildSource for MemberBuilds {
     fn prebuilt(&self, table: usize) -> Option<PrebuiltBuild> {
-        self.builds
+        self.0
             .iter()
             .find(|b| b.table == table)
             .map(|b| PrebuiltBuild {
@@ -56,16 +51,92 @@ impl BuildSource for MemberBuilds {
     }
 }
 
-/// One registered table's data: the key column the per-worker contexts
-/// materialize into their simulated memories.
-#[derive(Debug, Clone)]
-pub struct TableData {
-    /// Region/relation display name.
-    pub name: String,
-    /// The key column.
-    pub keys: Vec<u64>,
-    /// Tuple width in bytes.
-    pub w: u64,
+/// One admitted query, as the executor receives it.
+#[derive(Debug, Clone, Copy)]
+pub struct Member<'a> {
+    /// The physical plan to run.
+    pub plan: &'a PhysicalPlan,
+    /// The whole-plan pattern admission priced.
+    pub pattern: &'a Pattern,
+    /// The shared builds attached at submit, probed instead of built.
+    pub builds: &'a [Arc<SharedBuild>],
+}
+
+/// One executed batch.
+#[derive(Debug)]
+pub struct ExecutedBatch {
+    /// Per-member results, in batch order.
+    pub queries: Vec<ExecutedQuery>,
+    /// Every member's per-node execute spans, in batch order.
+    pub spans: Vec<Span>,
+    /// The batch's measured wall ([`BatchBackend::batch_wall_ns`]), ns.
+    pub wall_ns: f64,
+}
+
+/// What batch execution does differently per memory backend.
+pub trait BatchBackend: MemoryBackend + Sized {
+    /// One context maker per member, in batch order, given the members'
+    /// priced `patterns` and the canonical regions of the builds they
+    /// probe. Each worker calls its maker on its own thread, so the
+    /// context's arena comes from that thread's allocator.
+    fn contexts(
+        spec: &HardwareSpec,
+        tables: &[Arc<TableDef>],
+        patterns: &[&Pattern],
+        shared: &[Region],
+    ) -> Vec<impl FnOnce() -> ExecContext<Self> + Send>;
+
+    /// The batch's measured wall from its slowest member, the host clock
+    /// around the batch and the dispatch admission charged for it, ns.
+    fn batch_wall_ns(slowest_ns: f64, host_ns: f64, dispatch_ns: f64) -> f64;
+}
+
+impl BatchBackend for SimBackend {
+    /// Each member runs on its own view of the machine
+    /// ([`member_views`]).
+    fn contexts(
+        spec: &HardwareSpec,
+        _tables: &[Arc<TableDef>],
+        patterns: &[&Pattern],
+        shared: &[Region],
+    ) -> Vec<impl FnOnce() -> ExecContext<SimBackend> + Send> {
+        let views = member_views(spec, patterns, shared);
+        views
+            .into_iter()
+            .map(|v| move || ExecContext::new(v))
+            .collect()
+    }
+
+    /// The simulator cannot measure dispatch (it is host-side thread
+    /// bring-up, not simulated memory traffic), so the wall carries the
+    /// same constant the admission predicate charged: both sides account
+    /// dispatch identically and the accuracy ratio reflects model
+    /// quality, not bookkeeping.
+    fn batch_wall_ns(slowest_ns: f64, _host_ns: f64, dispatch_ns: f64) -> f64 {
+        slowest_ns + dispatch_ns
+    }
+}
+
+impl BatchBackend for NativeBackend {
+    /// Arenas pre-sized from the catalog footprint so the measured
+    /// interval contains no growth reallocations: inputs plus headroom
+    /// for partitions/hash tables/outputs (≈4× input bytes covers every
+    /// plan shape the planner emits).
+    fn contexts(
+        _spec: &HardwareSpec,
+        tables: &[Arc<TableDef>],
+        patterns: &[&Pattern],
+        _shared: &[Region],
+    ) -> Vec<impl FnOnce() -> ExecContext<NativeBackend> + Send> {
+        let table_bytes: u64 = tables.iter().map(|t| t.keys.len() as u64 * t.w).sum();
+        let arena = (4 * table_bytes).clamp(1 << 16, 1 << 30) as usize;
+        let make = move || ExecContext::native_with_capacity(arena);
+        vec![make; patterns.len()]
+    }
+
+    fn batch_wall_ns(_slowest_ns: f64, host_ns: f64, _dispatch_ns: f64) -> f64 {
+        host_ns
+    }
 }
 
 /// One query's measured execution inside a batch.
@@ -78,8 +149,8 @@ pub struct ExecutedQuery {
     /// byte for byte iff their hashes agree (with or without shared
     /// builds, on any backend).
     pub output_hash: u64,
-    /// Measured elapsed time: charged (simulated) memory latency plus
-    /// `per_op_ns ×` logical ops (Eq 6.1), ns.
+    /// Measured elapsed time, ns: simulated memory latency plus
+    /// `per_op_ns ×` logical ops (Eq 6.1), or native wall clock.
     pub measured_ns: f64,
     /// Logical CPU operations the query performed.
     pub ops: u64,
@@ -103,17 +174,15 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// is also what the admission controller's
 /// [`batch_cost`](gcm_core::CostModel::batch_cost) priced. A singleton
 /// batch sees the whole machine.
-pub fn member_views(spec: &HardwareSpec, patterns: &[&Pattern]) -> Vec<HardwareSpec> {
-    member_views_shared(spec, patterns, &[])
-}
-
-/// [`member_views`] with *shared data*: regions in `shared` (immutable
-/// builds several members probe) are counted once in each shared level's
-/// allocation denominator, mirroring the pricing rule of
-/// [`gcm_core::CostModel::batch_cost_shared`] — so the enforcement stays
-/// exactly what the admission controller priced. A member's own claim
-/// (numerator) keeps its full footprint, clamped at the whole level.
-pub fn member_views_shared(
+///
+/// Regions in `shared` (immutable builds several members probe,
+/// distinct as [`shared_regions`] returns them) are counted once in
+/// each shared level's allocation denominator, mirroring the pricing
+/// rule of [`gcm_core::CostModel::batch_cost_shared`] — so the
+/// enforcement stays exactly what the admission controller priced. A
+/// member's own claim (numerator) keeps its full footprint, clamped at
+/// the whole level.
+pub fn member_views(
     spec: &HardwareSpec,
     patterns: &[&Pattern],
     shared: &[Region],
@@ -122,13 +191,7 @@ pub fn member_views_shared(
     if d <= 1 {
         return patterns.iter().map(|_| spec.thread_view(1)).collect();
     }
-    let mut shared_unique: Vec<&Region> = Vec::with_capacity(shared.len());
-    for r in shared {
-        if !shared_unique.iter().any(|s| s.id() == r.id()) {
-            shared_unique.push(r);
-        }
-    }
-    let shared_ids: Vec<RegionId> = shared_unique.iter().map(|r| r.id()).collect();
+    let shared_ids: Vec<RegionId> = shared.iter().map(|r| r.id()).collect();
     // Full footprint of every member at every level (its claim), and the
     // capacity denominator with shared regions counted once.
     let feet: Vec<Vec<f64>> = patterns
@@ -149,7 +212,7 @@ pub fn member_views_shared(
                 .iter()
                 .map(|p| footprint_lines_excluding(p, &geo, &shared_ids))
                 .sum();
-            for r in &shared_unique {
+            for r in shared {
                 if patterns.iter().any(|p| references_region(p, r.id())) {
                     total += r.lines(geo.b as u64).max(1.0);
                 }
@@ -188,20 +251,17 @@ pub fn member_views_shared(
         .collect()
 }
 
-/// One batch member's run on any backend: materialize the tables the
-/// plan references into the worker's context (host-side, before the
-/// measured interval — the service owns the data; unreferenced catalog
-/// slots become empty placeholders so scan indices stay valid), then
-/// execute the plan through [`gcm_engine::plan::execute`] and measure.
-fn run_member<B: MemoryBackend>(
+/// Materialize the tables `plan` references into `ctx` (host-side,
+/// before any measured interval: the service owns the data).
+/// Unreferenced catalog slots become empty placeholders so scan
+/// indices stay valid.
+pub(crate) fn materialize<B: MemoryBackend>(
     ctx: &mut ExecContext<B>,
-    tables: &[Arc<TableData>],
+    tables: &[Arc<TableDef>],
     plan: &PhysicalPlan,
-    builds: &dyn BuildSource,
-    tracer: &mut dyn ExecTracer<B>,
-) -> Result<(u64, u64, gcm_engine::RunStats<B>), PlanError> {
+) -> Vec<Relation> {
     let referenced = plan.tables();
-    let rels: Vec<Relation> = tables
+    tables
         .iter()
         .enumerate()
         .map(|(i, t)| {
@@ -211,99 +271,67 @@ fn run_member<B: MemoryBackend>(
                 ctx.relation(&t.name, 0, t.w)
             }
         })
-        .collect();
+        .collect()
+}
+
+/// One batch member's run on any backend: materialize its tables, then
+/// execute the plan through [`gcm_engine::plan::execute_traced`] and
+/// measure.
+fn run_member<B: MemoryBackend>(
+    ctx: &mut ExecContext<B>,
+    tables: &[Arc<TableDef>],
+    plan: &PhysicalPlan,
+    builds: &dyn BuildSource,
+    tracer: &mut dyn ExecTracer<B>,
+    per_op_ns: f64,
+) -> Result<ExecutedQuery, PlanError> {
+    let rels = materialize(ctx, tables, plan);
     let (run, stats) = ctx.measure(|c| plan::execute_traced(c, plan, &rels, builds, tracer));
-    run.map(|r| {
-        let hash = fnv1a(&ctx.relation_bytes(&r.output));
-        (r.output.n(), hash, stats)
+    run.map(|r| ExecutedQuery {
+        output_n: r.output.n(),
+        output_hash: fnv1a(&ctx.relation_bytes(&r.output)),
+        measured_ns: stats.total_ns(per_op_ns),
+        ops: stats.ops,
     })
 }
 
-/// Execute `plans` as one batch of `plans.len()` concurrent workers,
-/// each on its own footprint-proportional view ([`member_views`], built
-/// from `patterns` — the members' whole-plan patterns in batch order).
-/// Each worker materializes the tables its plan scans into its own
-/// simulated memory (host-side, uncharged; a worker's view simulates
-/// its core's caches, not a private copy of the database) and runs its
-/// plan (`run_member`). Results come back in batch order.
-pub fn execute_batch(
+/// Execute `members` as one batch of concurrent workers on backend `B`:
+/// each worker materializes the tables its plan scans into its own
+/// context (host-side, uncharged; a simulated worker's view models its
+/// core's caches, not a private copy of the database) and runs its plan,
+/// probing its shared builds — except a build whose table was rewritten
+/// since the query attached it, which would serve old keys. While
+/// `spans` is enabled each worker fills a [`SpanTracer`]; tracing never
+/// changes results. `dispatch_ns` is the per-worker dispatch charge
+/// admission priced. Results come back in batch order.
+pub fn execute_batch<B: BatchBackend>(
     spec: &HardwareSpec,
-    tables: &[Arc<TableData>],
-    plans: &[&PhysicalPlan],
-    patterns: &[&Pattern],
+    tables: &[Arc<TableDef>],
+    members: &[Member<'_>],
     per_op_ns: f64,
-) -> Result<Vec<ExecutedQuery>, PlanError> {
-    let no_builds: Vec<MemberBuilds> = plans.iter().map(|_| MemberBuilds::default()).collect();
-    execute_batch_shared(spec, tables, plans, patterns, per_op_ns, &no_builds, &[])
-}
-
-/// [`execute_batch`] with shared build sides: `builds[i]` is member
-/// `i`'s [`MemberBuilds`] (the immutable hash-join builds its plan may
-/// probe instead of building), and `shared` the canonical regions of
-/// every build referenced by the batch — the member views allocate the
-/// shared levels with those regions counted once
-/// ([`member_views_shared`]), enforcing exactly what
-/// [`gcm_core::CostModel::batch_cost_shared`] priced at admission.
-pub fn execute_batch_shared(
-    spec: &HardwareSpec,
-    tables: &[Arc<TableData>],
-    plans: &[&PhysicalPlan],
-    patterns: &[&Pattern],
-    per_op_ns: f64,
-    builds: &[MemberBuilds],
-    shared: &[Region],
-) -> Result<Vec<ExecutedQuery>, PlanError> {
-    execute_batch_observed(
-        spec, tables, plans, patterns, per_op_ns, builds, shared, None,
-    )
-}
-
-/// [`execute_batch_shared`] with span tracing: when `spans` holds an
-/// enabled [`SpanRecorder`], every worker registers its own lane and
-/// records one [`Execute`](gcm_obs::SpanKind::Execute) span per
-/// physical operator it runs (via [`SpanTracer`]), carrying the
-/// operator's charged-time and per-level miss counter deltas. Tracing
-/// never changes results — the traced and untraced paths run the same
-/// operators on the same data (`observability_tracing_is_free` in the
-/// service tests pins byte identity).
-#[allow(clippy::too_many_arguments)]
-pub fn execute_batch_observed(
-    spec: &HardwareSpec,
-    tables: &[Arc<TableData>],
-    plans: &[&PhysicalPlan],
-    patterns: &[&Pattern],
-    per_op_ns: f64,
-    builds: &[MemberBuilds],
-    shared: &[Region],
-    spans: Option<&SpanRecorder>,
-) -> Result<Vec<ExecutedQuery>, PlanError> {
-    assert_eq!(plans.len(), patterns.len());
-    assert_eq!(plans.len(), builds.len());
-    let views = member_views_shared(spec, patterns, shared);
-    let results: Vec<Result<ExecutedQuery, PlanError>> = std::thread::scope(|s| {
-        let handles: Vec<_> = plans
+    dispatch_ns: f64,
+    spans: &SpanRecorder,
+) -> Result<ExecutedBatch, PlanError> {
+    let t0 = Instant::now();
+    let current = |b: &&Arc<SharedBuild>| b.built_from(&tables[b.table]);
+    let builds: Vec<MemberBuilds> = members
+        .iter()
+        .map(|m| MemberBuilds(m.builds.iter().filter(current).cloned().collect()))
+        .collect();
+    let shared = shared_regions(builds.iter().flat_map(|b| &b.0));
+    let patterns: Vec<&Pattern> = members.iter().map(|m| m.pattern).collect();
+    let contexts = B::contexts(spec, tables, &patterns, &shared);
+    let results: Vec<Result<(ExecutedQuery, SpanTracer), PlanError>> = std::thread::scope(|s| {
+        let handles: Vec<_> = members
             .iter()
-            .zip(views)
-            .zip(builds)
-            .map(|((plan, view), member)| {
+            .zip(contexts)
+            .zip(&builds)
+            .map(|((m, context), builds)| {
+                let mut tracer = SpanTracer::new(spans, m.plan);
                 s.spawn(move || {
-                    let mut ctx = ExecContext::new(view);
-                    let run = match spans {
-                        // The enabled check keeps the disabled path free
-                        // of lane registration, not just span stores.
-                        Some(rec) if rec.enabled() => {
-                            let mut sink = rec.sink();
-                            let mut tracer = SpanTracer::new(&mut sink);
-                            run_member(&mut ctx, tables, plan, member, &mut tracer)
-                        }
-                        _ => run_member(&mut ctx, tables, plan, member, &mut NoTrace),
-                    };
-                    run.map(|(output_n, output_hash, stats)| ExecutedQuery {
-                        output_n,
-                        output_hash,
-                        measured_ns: stats.total_ns(per_op_ns),
-                        ops: stats.ops,
-                    })
+                    let mut ctx = context();
+                    let q = run_member(&mut ctx, tables, m.plan, builds, &mut tracer, per_op_ns)?;
+                    Ok((q, tracer))
                 })
             })
             .collect();
@@ -312,56 +340,21 @@ pub fn execute_batch_observed(
             .map(|h| h.join().expect("service worker panicked"))
             .collect()
     });
-    results.into_iter().collect()
-}
-
-/// Execute `plans` as one batch of concurrent workers on the **host's
-/// real memory**: each query runs through the same plan executor over an
-/// [`ExecContext::native`] — real buffers, real loads, wall-clock
-/// latency. No member views are constructed (the hardware shares its
-/// caches itself; the footprint-proportional allocation the simulated
-/// pool enforces is exactly what the model *predicts* real hardware
-/// contention to look like), so comparing these latencies against the
-/// admission controller's `⊙` prices is the service-level
-/// calibrate → model → measure check. Results are byte-identical to the
-/// simulated pool's; `measured_ns` is wall time over the plan execution
-/// only (table materialization happens before the measured interval,
-/// like the simulated pool's uncharged setup) — but it still contains
-/// output allocation and CPU work, so compare against predictions with
-/// generous bounds.
-pub fn execute_batch_native(
-    tables: &[Arc<TableData>],
-    plans: &[&PhysicalPlan],
-) -> Result<Vec<ExecutedQuery>, PlanError> {
-    // Pre-size each worker's arena from the catalog footprint so the
-    // measured interval contains no growth reallocations: inputs plus
-    // headroom for partitions/hash tables/outputs (≈4× input bytes
-    // covers every plan shape the planner emits).
-    let table_bytes: u64 = tables.iter().map(|t| t.keys.len() as u64 * t.w).sum();
-    let arena = (4 * table_bytes).clamp(1 << 16, 1 << 30) as usize;
-    let results: Vec<Result<ExecutedQuery, PlanError>> = std::thread::scope(|s| {
-        let handles: Vec<_> = plans
-            .iter()
-            .map(|plan| {
-                s.spawn(move || {
-                    let mut ctx = ExecContext::native_with_capacity(arena);
-                    run_member(&mut ctx, tables, plan, &NoPrebuilt, &mut NoTrace).map(
-                        |(output_n, output_hash, stats)| ExecutedQuery {
-                            output_n,
-                            output_hash,
-                            measured_ns: NativeBackend::elapsed_ns(&stats.mem),
-                            ops: stats.ops,
-                        },
-                    )
-                })
-            })
-            .collect();
-        handles
+    let (queries, tracers): (Vec<ExecutedQuery>, Vec<SpanTracer>) = results
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()?
+        .into_iter()
+        .unzip();
+    let slowest_ns = queries.iter().map(|q| q.measured_ns).fold(0.0, f64::max);
+    let host_ns = t0.elapsed().as_nanos() as f64;
+    Ok(ExecutedBatch {
+        wall_ns: B::batch_wall_ns(slowest_ns, host_ns, dispatch_ns * members.len() as f64),
+        queries,
+        spans: tracers
             .into_iter()
-            .map(|h| h.join().expect("native service worker panicked"))
-            .collect()
-    });
-    results.into_iter().collect()
+            .flat_map(SpanTracer::into_spans)
+            .collect(),
+    })
 }
 
 #[cfg(test)]
@@ -371,20 +364,33 @@ mod tests {
     use gcm_hardware::presets;
     use gcm_workload::Workload;
 
-    fn catalog() -> Vec<Arc<TableData>> {
+    /// Run `plans` as one batch on backend `B`, with empty patterns, no
+    /// shared builds and no tracing.
+    fn run<B: BatchBackend>(
+        spec: &HardwareSpec,
+        tables: &[Arc<TableDef>],
+        plans: &[&PhysicalPlan],
+    ) -> Result<Vec<ExecutedQuery>, PlanError> {
+        let (pattern, builds) = (&Pattern::empty(), &[]);
+        let members: Vec<Member<'_>> = plans
+            .iter()
+            .map(|plan| Member {
+                plan,
+                pattern,
+                builds,
+            })
+            .collect();
+        let untraced = SpanRecorder::new();
+        untraced.set_enabled(false);
+        execute_batch::<B>(spec, tables, &members, 4.0, 0.0, &untraced).map(|b| b.queries)
+    }
+
+    fn catalog() -> Vec<Arc<TableDef>> {
         let mut wl = Workload::new(61);
         let star = wl.star_scenario(2_000, 400, 1);
         vec![
-            Arc::new(TableData {
-                name: "F".into(),
-                keys: star.fact,
-                w: 8,
-            }),
-            Arc::new(TableData {
-                name: "D".into(),
-                keys: star.dims[0].clone(),
-                w: 8,
-            }),
+            Arc::new(TableDef::new("F", star.fact, 8)),
+            Arc::new(TableDef::new("D", star.dims[0].clone(), 8)),
         ]
     }
 
@@ -397,13 +403,12 @@ mod tests {
             .select_lt(200)
             .join_with(PhysicalPlan::scan(1), JoinAlgorithm::Hash)
             .group_count();
-        let eps = Pattern::empty();
-        let batch = execute_batch(&spec, &tables, &[&select, &join], &[&eps, &eps], 4.0).unwrap();
+        let batch = run::<SimBackend>(&spec, &tables, &[&select, &join]).unwrap();
         assert_eq!(batch.len(), 2);
         // Each member's result matches its own serial run (results
         // never depend on co-runners — only timings do).
         for (plan, got) in [&select, &join].into_iter().zip(&batch) {
-            let solo = execute_batch(&spec, &tables, &[plan], &[&eps], 4.0).unwrap();
+            let solo = run::<SimBackend>(&spec, &tables, &[plan]).unwrap();
             assert_eq!(solo[0].output_n, got.output_n);
             assert_eq!(solo[0].output_hash, got.output_hash);
             assert_eq!(solo[0].ops, got.ops);
@@ -421,16 +426,8 @@ mod tests {
         let join = PhysicalPlan::scan(0)
             .join_with(PhysicalPlan::scan(1), JoinAlgorithm::Hash)
             .group_count();
-        let eps = Pattern::empty();
-        let solo = execute_batch(&spec, &tables, &[&join], &[&eps], 4.0).unwrap()[0].measured_ns;
-        let four = execute_batch(
-            &spec,
-            &tables,
-            &[&join, &join, &join, &join],
-            &[&eps, &eps, &eps, &eps],
-            4.0,
-        )
-        .unwrap();
+        let solo = run::<SimBackend>(&spec, &tables, &[&join]).unwrap()[0].measured_ns;
+        let four = run::<SimBackend>(&spec, &tables, &[&join, &join, &join, &join]).unwrap();
         for q in &four {
             assert!(
                 q.measured_ns >= solo * 0.999,
@@ -446,7 +443,7 @@ mod tests {
         let spec = presets::tiny_smp(4); // L2 shared (16 KB), L1/TLB private
         let big = Pattern::r_trav(Region::new("B", 3_000, 8)); // 24 KB
         let small = Pattern::r_trav(Region::new("S", 1_000, 8)); // 8 KB
-        let views = member_views(&spec, &[&big, &small]);
+        let views = member_views(&spec, &[&big, &small], &[]);
         assert_eq!(views.len(), 2);
         // Private levels stay whole.
         for v in &views {
@@ -462,11 +459,11 @@ mod tests {
         let full = spec.level("L2").unwrap().capacity;
         assert!(total <= full && total >= full / 2, "split covers the level");
         // A singleton sees the whole machine.
-        let solo = member_views(&spec, &[&big]);
+        let solo = member_views(&spec, &[&big], &[]);
         assert_eq!(l2(&solo[0]), full);
         // Zero-footprint members fall back to an even split.
         let eps = Pattern::empty();
-        let even = member_views(&spec, &[&eps, &eps]);
+        let even = member_views(&spec, &[&eps, &eps], &[]);
         assert_eq!(l2(&even[0]), l2(&even[1]));
     }
 
@@ -481,9 +478,8 @@ mod tests {
             .select_lt(200)
             .join_with(PhysicalPlan::scan(1), JoinAlgorithm::Hash)
             .group_count();
-        let eps = Pattern::empty();
-        let sim = execute_batch(&spec, &tables, &[&select, &join], &[&eps, &eps], 4.0).unwrap();
-        let native = execute_batch_native(&tables, &[&select, &join]).unwrap();
+        let sim = run::<SimBackend>(&spec, &tables, &[&select, &join]).unwrap();
+        let native = run::<NativeBackend>(&spec, &tables, &[&select, &join]).unwrap();
         assert_eq!(native.len(), 2);
         for (s, n) in sim.iter().zip(&native) {
             assert_eq!(s.output_n, n.output_n);
@@ -501,8 +497,7 @@ mod tests {
         let spec = presets::tiny_smp(2);
         let tables = catalog();
         let bad = PhysicalPlan::scan(7);
-        let eps = Pattern::empty();
-        let err = execute_batch(&spec, &tables, &[&bad], &[&eps], 4.0).unwrap_err();
+        let err = run::<SimBackend>(&spec, &tables, &[&bad]).unwrap_err();
         assert!(matches!(err, PlanError::UnknownTable { table: 7, .. }));
     }
 }

@@ -17,9 +17,10 @@
 //!   serially — the model decides the concurrency degree across
 //!   queries, while each query's plan runs serially on one core;
 //! * an **executor pool** ([`executor`]) of [`std::thread::scope`]
-//!   workers, each running one admitted query over its own simulated
-//!   hierarchy view, reporting per-query latency and
-//!   predicted-vs-measured error into [`ServiceMetrics`].
+//!   workers, each running one admitted query with the shared builds
+//!   admission priced, on a simulated hierarchy view or on host memory
+//!   (the path `gcm-net` serves), with the same bookkeeping on both:
+//!   records in [`ServiceMetrics`], execute spans and drift samples.
 //!
 //! ```
 //! use gcm_engine::plan::LogicalPlan;
@@ -66,18 +67,21 @@ pub use builds::{strip_build_phase, BuildRegistry, SharedBuild};
 #[cfg(feature = "mutex-baseline")]
 pub use cache::MutexPlanCache;
 pub use cache::{PlanCache, PlanKey};
-pub use executor::{execute_batch_native, ExecutedQuery, MemberBuilds, TableData};
+pub use executor::ExecutedQuery;
 pub use metrics::{BatchRecord, QueryRecord, ServiceMetrics, ShedRecord};
 pub use mix::{plan_for, TenantTables};
 pub use recalibrate::{Recalibration, Recalibrator};
 
-use gcm_core::{CostModel, CpuCost, Pattern, Region};
+use builds::shared_regions;
+use executor::{BatchBackend, ExecutedBatch, Member};
+use gcm_core::{CostModel, CpuCost, Pattern};
 use gcm_engine::ops::hash::build_ops;
 use gcm_engine::plan::{
     catalog::DEFAULT_DRIFT_THRESHOLD, explain_analyze, optimize_and_lower, plan_classes,
-    ExplainReport, LogicalPlan, PhysicalPlan, PlanError, PlannedQuery, StatsCatalog, TableStats,
+    ExplainReport, LogicalPlan, PhysicalPlan, PlanError, PlannedQuery, StatsCatalog, TableDef,
+    TableStats,
 };
-use gcm_engine::{ExecContext, Relation};
+use gcm_engine::{ExecContext, NativeBackend, SimBackend};
 use gcm_hardware::HardwareSpec;
 use gcm_obs::pmu::PmuStatus;
 use gcm_obs::{DriftMonitor, FlightRecorder, Span, SpanKind, SpanRecorder, SpanSink};
@@ -204,7 +208,7 @@ pub struct QueryService {
     /// queries, so plans are optimized serial (one core per query).
     plan_model: CostModel,
     catalog: StatsCatalog,
-    tables: Vec<Arc<TableData>>,
+    tables: Vec<Arc<TableDef>>,
     cache: Arc<PlanCache>,
     builds: Arc<BuildRegistry>,
     queue: VecDeque<Pending>,
@@ -212,12 +216,12 @@ pub struct QueryService {
     next_id: u64,
     metrics: ServiceMetrics,
     /// The service trace: control-path spans (optimize / build-attach /
-    /// admission) land on [`QueryService::ctl`]'s lane; each batch
-    /// worker registers its own lane for per-operator execute spans
-    /// ([`executor::execute_batch_observed`]).
+    /// admission) and the per-operator execute spans batch workers hand
+    /// back ([`executor::execute_batch`]) all land on
+    /// [`QueryService::ctl`]'s lane.
     spans: SpanRecorder,
-    /// The control path's own span lane (submit / next_batch run on the
-    /// caller's thread — one writer, one lane).
+    /// The service thread's own span lane: one writer, fixed capacity,
+    /// overflow dropped and counted.
     ctl: SpanSink,
     /// Per-operator-class measured/predicted drift
     /// ([`DriftMonitor::needs_recalibration`] asks for a re-calibrate).
@@ -236,10 +240,9 @@ pub struct QueryService {
     /// the ⊙-informed drain rate the shed projection divides the
     /// backlog by.
     drain_speedup: f64,
-    /// EWMA of measured-wall / predicted-wall from
-    /// [`QueryService::execute_batch_native_observed`] (and the sim
-    /// path): the bridge from model nanoseconds to the caller's clock
-    /// in the shed projection. Seeded by the first observed batch.
+    /// EWMA of measured-wall / predicted-wall over executed batches:
+    /// the bridge from model nanoseconds to the caller's clock in the
+    /// shed projection. Seeded by the first executed batch.
     wall_scale: f64,
     wall_scale_seeded: bool,
 }
@@ -310,11 +313,7 @@ impl QueryService {
     pub fn register_table(&mut self, name: &str, keys: Vec<u64>, w: u64) -> usize {
         let stats = derive_stats(&keys, w);
         let idx = self.catalog.push(stats);
-        self.tables.push(Arc::new(TableData {
-            name: name.to_string(),
-            keys,
-            w,
-        }));
+        self.tables.push(Arc::new(TableDef::new(name, keys, w)));
         idx
     }
 
@@ -327,11 +326,7 @@ impl QueryService {
     pub fn update_table(&mut self, idx: usize, keys: Vec<u64>) -> bool {
         let w = self.tables[idx].w;
         let stats = derive_stats(&keys, w);
-        self.tables[idx] = Arc::new(TableData {
-            name: self.tables[idx].name.clone(),
-            keys,
-            w,
-        });
+        self.tables[idx] = Arc::new(TableDef::new(self.tables[idx].name.clone(), keys, w));
         self.builds.retire_table(idx);
         let bumped = self.catalog.update(idx, stats);
         if bumped {
@@ -440,7 +435,7 @@ impl QueryService {
             let Some(data) = self.tables.get(t) else {
                 continue;
             };
-            let (b, computed) = self.builds.get_or_build(t, epoch, &data.keys);
+            let (b, computed) = self.builds.get_or_build(t, epoch, data);
             if computed {
                 continue;
             }
@@ -590,7 +585,7 @@ impl QueryService {
                 }
             })
             .collect();
-        let shared = shared_regions(self.queue.iter());
+        let shared = shared_regions(self.queue.iter().flat_map(|p| &p.builds));
         let cfg = AdmissionConfig {
             max_batch: if self.cfg.max_batch == 0 {
                 self.spec.cores() as usize
@@ -642,35 +637,57 @@ impl QueryService {
         })
     }
 
-    /// Execute an admitted batch on the worker pool and record its
-    /// metrics. Returns the index of the new
+    /// Execute an admitted batch on the simulated worker pool and record
+    /// it. Returns the index of the new
     /// [`BatchRecord`](ServiceMetrics::batches).
     pub fn execute_batch(&mut self, batch: Batch) -> Result<usize, PlanError> {
-        let patterns: Vec<&Pattern> = batch.entries.iter().map(|p| p.pattern.as_ref()).collect();
-        let members: Vec<MemberBuilds> = batch
+        self.run_batch::<SimBackend>(batch)?;
+        Ok(self.metrics.batches.len() - 1)
+    }
+
+    /// Execute an admitted batch on the **host's real memory** (the path
+    /// behind the network front end): the same results and bookkeeping as
+    /// [`execute_batch`](QueryService::execute_batch), wall-clock
+    /// latencies, and each run paired with its query id for routing.
+    pub fn execute_batch_native_observed(
+        &mut self,
+        batch: Batch,
+    ) -> Result<Vec<(u64, ExecutedQuery)>, PlanError> {
+        self.run_batch::<NativeBackend>(batch)
+    }
+
+    /// Run a batch on backend `B` ([`executor::execute_batch`]) and do all
+    /// its bookkeeping: spans, [`QueryRecord`]s, drift samples, the
+    /// [`BatchRecord`], the wall-scale EWMA, recalibration and counters.
+    fn run_batch<B: BatchBackend>(
+        &mut self,
+        batch: Batch,
+    ) -> Result<Vec<(u64, ExecutedQuery)>, PlanError> {
+        let members: Vec<Member<'_>> = batch
             .entries
             .iter()
-            .map(|p| MemberBuilds::new(p.builds.clone()))
+            .map(|p| Member {
+                plan: &p.planned.plan,
+                pattern: &p.pattern,
+                builds: &p.builds,
+            })
             .collect();
-        let shared = shared_regions(batch.entries.iter());
-        let runs = executor::execute_batch_observed(
+        let ExecutedBatch {
+            queries: runs,
+            spans,
+            wall_ns,
+        } = executor::execute_batch::<B>(
             &self.spec,
             &self.tables,
-            &batch.plans(),
-            &patterns,
-            self.cfg.per_op_ns,
             &members,
-            &shared,
-            Some(&self.spans),
+            self.cfg.per_op_ns,
+            self.cfg.dispatch_ns,
+            &self.spans,
         )?;
+        for span in spans {
+            self.ctl.record(span);
+        }
         let batch_idx = self.metrics.batches.len();
-        // The simulator cannot measure dispatch (it is host-side thread
-        // bring-up, not simulated memory traffic), so the batch wall
-        // carries the same per-worker constant the admission predicate
-        // charged — both sides account dispatch identically and the
-        // accuracy ratio reflects model quality, not bookkeeping.
-        let measured_wall_ns = runs.iter().map(|r| r.measured_ns).fold(0.0, f64::max)
-            + self.cfg.dispatch_ns * batch.size() as f64;
         for ((pending, run), predicted_ns) in
             batch.entries.iter().zip(&runs).zip(&batch.per_query_ns)
         {
@@ -700,61 +717,15 @@ impl QueryService {
             ids: batch.ids(),
             predicted_wall_ns: batch.predicted_wall_ns,
             predicted_serial_ns: batch.predicted_serial_ns,
-            measured_wall_ns,
+            measured_wall_ns: wall_ns,
         });
-        self.observe_wall_scale(measured_wall_ns, batch.predicted_wall_ns);
+        self.observe_wall_scale(wall_ns, batch.predicted_wall_ns);
         // Close the drift loop without stalling the serving path: a
         // raised flag starts a background probe, and any probe that
         // finished since the last batch is applied now.
         self.pump_recalibration(false);
         self.sync_cache_counters();
-        Ok(batch_idx)
-    }
-
-    /// Execute an admitted batch on the **host's real memory** instead
-    /// of the simulated pool ([`executor::execute_batch_native`]):
-    /// identical results, wall-clock latencies. Native runs are returned
-    /// rather than folded into [`ServiceMetrics`] — the metrics compare
-    /// the model against the *simulator*, whose charged clock shares the
-    /// model's units; wall-clock comparisons belong to the
-    /// calibrate-then-validate workflow with its own documented bounds.
-    /// The batch's queries are consumed like
-    /// [`execute_batch`](QueryService::execute_batch) would.
-    pub fn execute_batch_native(&mut self, batch: Batch) -> Result<Vec<ExecutedQuery>, PlanError> {
-        executor::execute_batch_native(&self.tables, &batch.plans())
-    }
-
-    /// [`execute_batch_native`](QueryService::execute_batch_native),
-    /// plus the serving-path bookkeeping the network front end needs:
-    /// the batch's wall clock is measured and folded into the
-    /// model-ns → wall-ns EWMA the shed projection uses
-    /// ([`next_batch_at`](QueryService::next_batch_at)), per-class
-    /// native latency histograms and batch counters land in the
-    /// registry, and each run comes back paired with its query id for
-    /// response routing.
-    pub fn execute_batch_native_observed(
-        &mut self,
-        batch: Batch,
-    ) -> Result<Vec<(u64, ExecutedQuery)>, PlanError> {
-        let t0 = std::time::Instant::now();
-        let runs = executor::execute_batch_native(&self.tables, &batch.plans())?;
-        let wall_ns = t0.elapsed().as_nanos() as f64;
-        self.observe_wall_scale(wall_ns, batch.predicted_wall_ns);
-        let r = &self.metrics.registry;
-        r.inc("gcm_service_native_batches_total", 1);
-        r.observe_ns("gcm_service_native_batch_wall_ns", wall_ns);
-        for (p, run) in batch.entries.iter().zip(&runs) {
-            if let Some(class) = p.class {
-                r.observe_ns(
-                    &gcm_obs::registry::labeled(
-                        "gcm_service_native_query_ns",
-                        &[("class", class.label())],
-                    ),
-                    run.measured_ns,
-                );
-            }
-        }
-        Ok(batch.entries.iter().map(|p| p.id).zip(runs).collect())
+        Ok(batch.ids().into_iter().zip(runs).collect())
     }
 
     /// Fold one measured/predicted batch-wall ratio into the
@@ -874,19 +845,7 @@ impl QueryService {
         let planned = optimize_and_lower(&self.plan_model, plan, snap.tables())?;
         let mut ctx = ExecContext::native();
         let pmu = ctx.mem.attach_pmu();
-        let referenced = planned.plan.tables();
-        let rels: Vec<Relation> = self
-            .tables
-            .iter()
-            .enumerate()
-            .map(|(i, t)| {
-                if referenced.contains(&i) {
-                    ctx.relation_from_keys(&t.name, &t.keys, t.w)
-                } else {
-                    ctx.relation(&t.name, 0, t.w)
-                }
-            })
-            .collect();
+        let rels = executor::materialize(&mut ctx, &self.tables, &planned.plan);
         let cpu = CpuCost::per_op(self.cfg.per_op_ns);
         let (_run, report) = explain_analyze(
             &mut ctx,
@@ -1009,21 +968,6 @@ impl QueryService {
     }
 }
 
-/// The canonical regions of every shared build attached to `entries`,
-/// each exactly once — the `shared` list for Eq 5.3-with-shared-data
-/// pricing and for the executor's member views.
-fn shared_regions<'a>(entries: impl Iterator<Item = &'a Pending>) -> Vec<Region> {
-    let mut out: Vec<Region> = Vec::new();
-    for p in entries {
-        for b in &p.builds {
-            if !out.iter().any(|r| r.id() == b.region.id()) {
-                out.push(b.region.clone());
-            }
-        }
-    }
-    out
-}
-
 /// Derive a relation's [`TableStats`] from its actual key column — the
 /// service's statistics collector (exact, since the data is at hand).
 pub fn derive_stats(keys: &[u64], w: u64) -> TableStats {
@@ -1141,46 +1085,6 @@ mod tests {
         svc.submit(plan).unwrap();
         assert_eq!(svc.cache().optimizer_runs(), 2);
         svc.run().unwrap();
-    }
-
-    #[test]
-    fn below_threshold_update_retires_the_tables_shared_builds() {
-        // Rewrite the dimension's last key 999 → 1000: still sorted and
-        // distinct, so the statistics epoch stays put. A join submitted
-        // afterwards must see the new keys, not a build of the old ones.
-        let fact: Vec<u64> = (0..4_000).map(|i| (i * 7) % 1_000).collect();
-        let old_dim: Vec<u64> = (0..1_000).collect();
-        let mut new_dim = old_dim.clone();
-        new_dim[999] = 1_000;
-        let join = LogicalPlan::scan(0)
-            .join(LogicalPlan::scan(1))
-            .group_count();
-        let run_join = |svc: &mut QueryService| {
-            let id = svc.submit(join.clone()).unwrap();
-            svc.run().unwrap();
-            let q = svc.metrics().queries.iter().find(|q| q.id == id).unwrap();
-            (q.output_n, q.output_hash)
-        };
-        // On this machine the optimizer joins with a plain hash join
-        // over scan(D): the shape a shared build serves.
-        let service_over = |dim: Vec<u64>| {
-            let mut svc = QueryService::new(presets::modern_smp(4));
-            svc.register_table("F", fact.clone(), 8);
-            svc.register_table("D", dim, 8);
-            svc
-        };
-        let mut fresh = service_over(new_dim.clone());
-        let expected = run_join(&mut fresh);
-        assert_eq!(expected.0, 999, "keys 0..999 match the fact table");
-
-        let mut svc = service_over(old_dim);
-        run_join(&mut svc); // registers the shared build over D
-        assert!(!svc.update_table(1, new_dim));
-        assert_eq!(svc.catalog().epoch(), 0);
-        assert_eq!(run_join(&mut svc), expected);
-        // The rebuilt build serves later joins, with the new keys.
-        assert_eq!(run_join(&mut svc), expected);
-        assert!(svc.metrics().builds_reused > 0, "the shared path ran");
     }
 
     #[test]
@@ -1541,57 +1445,121 @@ mod tests {
 
     #[test]
     fn native_observed_execution_routes_ids_and_seeds_wall_scale() {
-        let run = |observed: bool| -> Vec<(u64, u64, u64)> {
+        // The native serving path returns the simulator's results, routed
+        // by id, and records them the same way: query and batch records in
+        // the one metric family, execute spans, drift samples and the
+        // wall-scale EWMA (seeded by the first batch).
+        let run = |native: bool| {
             let (mut svc, t) = classed_service(SloPolicy::uniform(f64::MAX));
             for class in [TenantClass::PointLookup, TenantClass::ScanHeavy] {
                 svc.submit_classed(plan_for(&request(class), &t), class, 0)
                     .unwrap();
             }
-            let mut out = Vec::new();
+            let mut routed = Vec::new();
             while let (_, Some(batch)) = svc.next_batch_at(0) {
-                if observed {
-                    for (id, r) in svc.execute_batch_native_observed(batch).unwrap() {
-                        out.push((id, r.output_n, r.output_hash));
-                    }
+                if native {
+                    let runs = svc.execute_batch_native_observed(batch).unwrap();
+                    routed.extend(
+                        runs.into_iter()
+                            .map(|(id, r)| (id, r.output_n, r.output_hash)),
+                    );
                 } else {
-                    let ids = batch.ids();
-                    for (id, r) in ids
-                        .into_iter()
-                        .zip(svc.execute_batch_native(batch).unwrap())
-                    {
-                        out.push((id, r.output_n, r.output_hash));
-                    }
+                    svc.execute_batch(batch).unwrap();
                 }
             }
-            out.sort_unstable();
-            out
+            let spans = svc.spans().drain();
+            assert!(spans.iter().any(|s| s.kind == SpanKind::Execute));
+            assert!(!svc.drift().status().is_empty(), "drift samples");
+            assert!(svc.wall_scale() > 0.0 && svc.wall_scale() != 1.0);
+            let m = svc.metrics();
+            assert_eq!(m.registry.counter(metrics::QUERIES_TOTAL), Some(2));
+            let batches = m.registry.counter(metrics::BATCHES_TOTAL);
+            assert_eq!(batches, Some(m.batches.len() as u64));
+            let recorded: Vec<(u64, u64, u64)> = m
+                .queries
+                .iter()
+                .map(|q| (q.id, q.output_n, q.output_hash))
+                .collect();
+            (routed, recorded)
         };
-        assert_eq!(
-            run(true),
-            run(false),
-            "observed path must not change results"
-        );
-        // The EWMA seeds off the first observed batch.
-        let (mut svc, t) = classed_service(SloPolicy::uniform(f64::MAX));
-        assert_eq!(svc.wall_scale(), 1.0);
-        svc.submit_classed(
-            plan_for(&request(TenantClass::ScanHeavy), &t),
-            TenantClass::ScanHeavy,
-            0,
-        )
-        .unwrap();
-        let (_, batch) = svc.next_batch_at(0);
-        svc.execute_batch_native_observed(batch.unwrap()).unwrap();
-        assert!(svc.wall_scale() > 0.0 && svc.wall_scale() != 1.0);
-        let m = svc.metrics();
-        assert_eq!(
-            m.registry.counter("gcm_service_native_batches_total"),
-            Some(1)
-        );
-        assert!(m
-            .registry
-            .histogram("gcm_service_native_query_ns{class=\"scan_heavy\"}")
-            .is_some());
+        let (routed, native) = run(true);
+        assert_eq!(routed, native, "routed runs are the recorded ones");
+        assert_eq!(native, run(false).1, "backends must agree");
+    }
+
+    /// Two identical joins queue up, the second attaching the first's
+    /// shared build over D; then D's last key is rewritten 999 → 1000,
+    /// still sorted and distinct, so the statistics epoch stays put. The
+    /// queued sharer must see the new keys, not the build it attached
+    /// before the write, and later joins probe a build of the new keys.
+    fn queued_join_outlives_its_build(native: bool) {
+        let fact: Vec<u64> = (0..4_000).map(|i| (i * 7) % 1_000).collect();
+        let old_dim: Vec<u64> = (0..1_000).collect();
+        let mut new_dim = old_dim.clone();
+        new_dim[999] = 1_000;
+        let join = LogicalPlan::scan(0)
+            .join(LogicalPlan::scan(1))
+            .group_count();
+        // On this machine the optimizer joins with a plain hash join
+        // over scan(D): the shape a shared build serves.
+        let service_over = |dim: Vec<u64>| {
+            let mut svc = QueryService::new(presets::modern_smp(4));
+            svc.register_table("F", fact.clone(), 8);
+            svc.register_table("D", dim, 8);
+            svc
+        };
+        // Submit `n` joins and drain the queue: every result so far, and
+        // the labels of the join nodes just run.
+        let run_joins = |svc: &mut QueryService, n: usize| {
+            for _ in 0..n {
+                svc.submit(join.clone()).unwrap();
+            }
+            while let Some(batch) = svc.next_batch() {
+                if native {
+                    svc.execute_batch_native_observed(batch).unwrap();
+                } else {
+                    svc.execute_batch(batch).unwrap();
+                }
+            }
+            let spans = svc.spans().drain().into_iter();
+            let mut joins: Vec<String> = spans
+                .filter(|s| s.kind == SpanKind::Execute && s.name.starts_with("join"))
+                .map(|s| s.name)
+                .collect();
+            joins.sort_unstable();
+            let queries = &svc.metrics().queries;
+            let results: Vec<(u64, u64)> = queries
+                .iter()
+                .map(|q| (q.output_n, q.output_hash))
+                .collect();
+            (results, joins)
+        };
+        let expected = run_joins(&mut service_over(new_dim.clone()), 1).0[0];
+        assert_eq!(expected.0, 999, "keys 0..999 match the fact table");
+
+        let mut svc = service_over(old_dim);
+        for _ in 0..2 {
+            svc.submit(join.clone()).unwrap();
+        }
+        assert_eq!(svc.builds().reused(), 1, "the second join attached");
+        assert!(!svc.update_table(1, new_dim));
+        assert_eq!(svc.catalog().epoch(), 0);
+        let (results, joins) = run_joins(&mut svc, 0);
+        assert_eq!(results, vec![expected; 2]);
+        assert_eq!(joins, ["join[hash]", "join[hash]"], "stale build dropped");
+        let (results, joins) = run_joins(&mut svc, 2);
+        assert_eq!(results, vec![expected; 4]);
+        assert_eq!(joins, ["join[hash,shared]", "join[hash]"]);
+    }
+
+    #[test]
+    fn below_threshold_update_retires_the_tables_shared_builds() {
+        queued_join_outlives_its_build(false);
+    }
+
+    #[test]
+    fn below_threshold_update_retires_the_tables_shared_builds_native() {
+        queued_join_outlives_its_build(true);
     }
 
     #[test]

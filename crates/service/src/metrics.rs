@@ -46,7 +46,8 @@ pub struct QueryRecord {
     /// Predicted latency inside its batch (⊙-composed memory + CPU),
     /// ns.
     pub predicted_ns: f64,
-    /// Measured latency (charged memory + per-op CPU), ns.
+    /// Measured latency (simulated: charged memory + per-op CPU; native:
+    /// wall clock), ns.
     pub measured_ns: f64,
     /// Output cardinality.
     pub output_n: u64,
@@ -72,11 +73,11 @@ pub struct BatchRecord {
     pub predicted_wall_ns: f64,
     /// Predicted serial fallback for the same members, ns.
     pub predicted_serial_ns: f64,
-    /// Measured batch wall time: the slowest member plus the same
-    /// per-worker dispatch constant the prediction charges (dispatch is
-    /// host-side thread bring-up the simulator cannot see; charging it
-    /// on both sides keeps [`BatchRecord::accuracy`] about the model),
-    /// ns.
+    /// Measured batch wall time, ns: on native memory the host clock
+    /// around the batch; simulated, the slowest member plus the dispatch
+    /// constant the prediction charges (host-side thread bring-up the
+    /// simulator cannot see; charging it on both sides keeps
+    /// [`BatchRecord::accuracy`] about the model).
     pub measured_wall_ns: f64,
 }
 

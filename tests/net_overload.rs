@@ -10,7 +10,8 @@
 //!   point-lookup tail stays within its sojourn budget;
 //! * **zero corruption** — every byte of every served result
 //!   (`output_n`, FNV-1a `output_hash`) is identical to a direct
-//!   in-process execution of the same request.
+//!   in-process execution of the same request's plan, without shared
+//!   builds.
 //!
 //! The in-run bounds are generous so a loaded CI box cannot flake
 //! them; the strict variants (budget-exact tails, the 5× fail-fast and
@@ -22,11 +23,13 @@
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
+use gcm::engine::plan::{self, PhysicalPlan};
+use gcm::engine::{ExecContext, Relation};
 use gcm::hardware::presets;
 use gcm::net::loadgen::{self, LoadReport, LoadgenConfig};
 use gcm::net::{NetConfig, NetServer, ResponseFrame};
 use gcm::service::{plan_for, QueryService, ServiceConfig, SloPolicy, TenantTables};
-use gcm::workload::{TenantClass, Workload};
+use gcm::workload::{StarScenario, TenantClass, Workload};
 
 const FACT_N: usize = 8_192;
 const DIM_N: usize = 1_024;
@@ -60,10 +63,32 @@ fn tenant_classes() -> Vec<TenantClass> {
     ]
 }
 
-/// Ground truth: execute every distinct request shape directly (no
-/// network, no shedding) and record (output_n, output_hash).
+/// FNV-1a over the output bytes: the service's result-equality hash.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// `plan` run alone on a fresh native context over the `star` tables,
+/// building every hash table itself: independent of the service's
+/// executor and of its shared builds.
+fn direct_run(plan: &PhysicalPlan, star: &StarScenario) -> (u64, u64) {
+    let mut ctx = ExecContext::native();
+    let tables: Vec<Relation> = [("net.F", &star.fact), ("net.D", &star.dims[0])]
+        .into_iter()
+        .map(|(name, keys)| ctx.relation_from_keys(name, keys, 8))
+        .collect();
+    let run = plan::execute(&mut ctx, plan, &tables).expect("oracle execution");
+    (run.output.n(), fnv1a(&ctx.relation_bytes(&run.output)))
+}
+
+/// Ground truth: plan every distinct request shape with the service's
+/// optimizer and execute it directly (no network, no shedding, no
+/// shared builds), recording (output_n, output_hash).
 fn oracle_hashes(seed: u64, requests: usize) -> HashMap<(u32, u8, u64), (u64, u64)> {
     let (mut svc, tenants) = build_service(None);
+    let star = Workload::new(TABLE_SEED).star_scenario(FACT_N, DIM_N, 1);
     let mut wl = Workload::new(seed);
     let mix = wl.query_mix(requests, &tenant_classes(), 0.99);
     let mut out = HashMap::new();
@@ -79,8 +104,7 @@ fn oracle_hashes(seed: u64, requests: usize) -> HashMap<(u32, u8, u64), (u64, u6
         let plan = plan_for(req, &tenants[req.tenant]);
         svc.submit(plan).expect("oracle plan must optimize");
         let batch = svc.next_batch().expect("oracle batch");
-        let runs = svc.execute_batch_native(batch).expect("oracle execution");
-        out.insert(key, (runs[0].output_n, runs[0].output_hash));
+        out.insert(key, direct_run(batch.plans()[0], &star));
     }
     out
 }
@@ -120,14 +144,14 @@ fn measure_capacity(probe: usize) -> (f64, f64) {
         svc.submit(plan_for(req, &tenants[req.tenant])).unwrap();
     }
     while let Some(batch) = svc.next_batch() {
-        svc.execute_batch_native(batch).unwrap();
+        svc.execute_batch_native_observed(batch).unwrap();
     }
     let t0 = Instant::now();
     for req in &mix {
         svc.submit(plan_for(req, &tenants[req.tenant])).unwrap();
     }
     while let Some(batch) = svc.next_batch() {
-        svc.execute_batch_native(batch).unwrap();
+        svc.execute_batch_native_observed(batch).unwrap();
     }
     let elapsed = t0.elapsed().as_secs_f64().max(1e-6);
     let qps = probe as f64 / elapsed;
@@ -197,9 +221,13 @@ fn loopback_round_trip_preserves_results() {
     assert_eq!(report.lost, 0);
     assert_no_corruption(&report, &oracle_hashes(4242, 90));
     // The service saw real traffic: the wall-scale EWMA was seeded by
-    // measured native batches.
+    // measured native batches, which left their records, and the joins
+    // probed shared builds while matching the build-free oracle.
     let mut svc = svc;
-    assert!(!svc.metrics().batches.is_empty() || svc.wall_scale() != 1.0);
+    assert!(svc.wall_scale() != 1.0);
+    let m = svc.metrics();
+    assert!(m.queries.len() >= 90, "served queries are recorded");
+    assert!(m.builds_reused > 0, "served joins reused shared builds");
 }
 
 /// 2× overload with the ⊙-priced gate on: work is shed (fail-fast,

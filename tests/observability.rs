@@ -11,7 +11,10 @@
 //!   (`(lane, seq)` pairs are the identity);
 //! - `EXPLAIN ANALYZE` golden: the redacted text of a two-join plan is
 //!   pinned byte-for-byte, so the report's tree shape, labels, and row
-//!   layout cannot drift silently.
+//!   layout cannot drift silently;
+//! - span memory on the served path: a service that serves natively
+//!   and is never drained holds one lane's worth of spans and counts
+//!   the rest as dropped.
 //!
 //! Plus the satellite-a check that the bounded miss trace is reachable
 //! through the `MemoryBackend` trait rather than only through the
@@ -21,12 +24,14 @@ use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use gcm::core::{CostModel, CpuCost};
-use gcm::engine::plan::{explain_analyze, PhysicalPlan};
+use gcm::engine::plan::{explain_analyze, LogicalPlan, PhysicalPlan};
 use gcm::engine::planner::JoinAlgorithm;
 use gcm::engine::{ExecContext, MemoryBackend, NativeBackend};
 use gcm::hardware::presets;
 use gcm::obs::hist::QUANTILE_REL_ERROR;
+use gcm::obs::span::DEFAULT_LANE_CAPACITY;
 use gcm::obs::{Histogram, Span, SpanKind, SpanRecorder};
+use gcm::service::QueryService;
 use gcm::workload::Workload;
 use proptest::prelude::*;
 
@@ -273,4 +278,51 @@ fn miss_trace_is_reachable_through_the_backend_trait() {
     assert!(!native.attach_miss_trace(16));
     assert!(native.take_miss_trace().is_none());
     assert!(native.miss_trace_dropped().is_none());
+}
+
+// ---------------------------------------------------------------------
+// Span memory on the served path
+// ---------------------------------------------------------------------
+
+/// Serve 1 500 point lookups natively, one per batch, with tracing on.
+/// Returns the spans harvested (after every batch when
+/// `drain_each_batch`, else once at the end) and the spans dropped.
+fn serve_traced_point_lookups(drain_each_batch: bool) -> (usize, u64) {
+    let mut svc = QueryService::new(presets::tiny_smp(4));
+    svc.register_table("D", (0..64).collect(), 8);
+    let mut harvested = 0;
+    for i in 0..1_500u64 {
+        svc.submit(LogicalPlan::scan(0).select_lt(1 + i % 8))
+            .unwrap();
+        while let Some(batch) = svc.next_batch() {
+            svc.execute_batch_native_observed(batch).unwrap();
+            if drain_each_batch {
+                harvested += svc.spans().drain().len();
+            }
+        }
+    }
+    harvested += svc.spans().drain().len();
+    let dropped = svc.spans().dropped();
+    let exported = svc
+        .metrics()
+        .registry
+        .counter("gcm_service_spans_dropped_total");
+    assert_eq!(exported, Some(dropped));
+    (harvested, dropped)
+}
+
+#[test]
+fn undrained_native_spans_stay_within_one_lane() {
+    // Drained after every batch nothing drops, which gives the total.
+    // Never drained, only the service's own lane holds spans: exactly
+    // one lane's worth, the rest counted as dropped.
+    let (total, none) = serve_traced_point_lookups(true);
+    assert_eq!(none, 0);
+    assert!(
+        total > DEFAULT_LANE_CAPACITY,
+        "{total} spans must overflow a lane"
+    );
+    let (kept, dropped) = serve_traced_point_lookups(false);
+    assert_eq!(kept, DEFAULT_LANE_CAPACITY);
+    assert_eq!(kept as u64 + dropped, total as u64);
 }
