@@ -1,7 +1,7 @@
 //! Extension — whole-query costing (paper §6: "Extension to further
 //! operations and whole queries, however, is straight forward").
 //!
-//! Runs a three-operator pipeline (σ → ⋈ → γ) end to end on the
+//! Runs a three-operator plan (σ → ⋈ → γ) end to end on the
 //! Origin2000 simulator and compares against the composed pattern
 //! `select ⊕ hash_join ⊕ aggregate` evaluated in one shot — including
 //! the cross-operator cache reuse that per-operator costing would miss.
@@ -9,7 +9,8 @@
 use gcm_bench::fig7;
 use gcm_bench::table::Series;
 use gcm_core::CostModel;
-use gcm_engine::query::{Pipeline, Stage};
+use gcm_engine::plan::{self, PhysicalPlan};
+use gcm_engine::planner::JoinAlgorithm;
 use gcm_engine::ExecContext;
 use gcm_hardware::presets;
 use gcm_workload::Workload;
@@ -31,11 +32,13 @@ fn main() {
         let u = ctx.relation_from_keys("U", &uk, 8);
         let v = ctx.relation_from_keys("V", &vk, 8);
 
-        let pipeline = Pipeline::new()
-            .stage(Stage::SelectLt(n / 2)) // 50% selectivity
-            .stage(Stage::HashJoin(v.clone()))
-            .stage(Stage::GroupCount);
-        let (run, stats) = ctx.measure(|c| pipeline.run(c, &u));
+        let query = PhysicalPlan::scan(0)
+            .select_lt(n / 2) // 50% selectivity
+            .join_with(PhysicalPlan::scan(1), JoinAlgorithm::Hash)
+            .group_count();
+        let tables = [u, v];
+        let (run, stats) =
+            ctx.measure(|c| plan::execute(c, &query, &tables).expect("plan executes"));
 
         let report = model.report(&run.pattern);
         let pred_ops = 8 * n;

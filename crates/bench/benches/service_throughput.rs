@@ -141,14 +141,16 @@ fn main() {
         b_ns / 1e6,
         s_ns / 1e6
     );
-    // Identical results either way.
+    // Identical results either way. Both services were fed the same
+    // queue in the same order, so a query id names the same query in
+    // each.
     let outputs = |m: &gcm_service::ServiceMetrics| {
-        let mut v: Vec<(String, u64)> = m
+        let mut v: Vec<(u64, u64, u64)> = m
             .queries
             .iter()
-            .map(|q| (q.plan.clone(), q.output_n))
+            .map(|q| (q.id, q.output_n, q.output_hash))
             .collect();
-        v.sort();
+        v.sort_unstable();
         v
     };
     assert_eq!(outputs(&batched_m), outputs(&serial_m));

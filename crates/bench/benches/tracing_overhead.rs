@@ -6,7 +6,8 @@
 //!   executor path costs one relaxed atomic load per operator node —
 //!   host wall time within **5%** of the untraced path;
 //! * **enabled**: per-node counter snapshots, a buffered span each,
-//!   and their lock-free ring pushes — within **25%** of untraced.
+//!   and recording them into the recorder's buffer — within **25%** of
+//!   untraced.
 //!
 //! Methodology: the same two-join plan executes over the simulator in
 //! three modes (untraced / disabled / enabled), `ROUNDS` times each,
@@ -53,10 +54,9 @@ fn main() {
         .expect("plan optimizes");
 
     let recorder = SpanRecorder::new();
-    let mut sink = recorder.sink();
 
     // One measured execution; returns (wall_ns, output_n, output_hash).
-    let mut run = |mode: &str| -> (u64, u64, u64) {
+    let run = |mode: &str| -> (u64, u64, u64) {
         let mut ctx = ExecContext::new(spec.clone());
         let tables = [
             ctx.relation_from_keys("F", &star.fact, 8),
@@ -77,7 +77,7 @@ fn main() {
                     &mut tracer,
                 );
                 for span in tracer.into_spans() {
-                    sink.record(span);
+                    recorder.record(span);
                 }
                 out
             }

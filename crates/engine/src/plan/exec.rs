@@ -139,9 +139,9 @@ impl<B: MemoryBackend> ExecTracer<B> for NoTrace {
 /// An [`ExecTracer`] that buffers one [`SpanKind::Execute`] span per
 /// operator node, carrying the backend's counter deltas (charged
 /// accesses and per-level misses on the sim backend, wall-ns on
-/// native), for the caller to record on its own
-/// [`SpanSink`](gcm_obs::SpanSink) lane
-/// ([`into_spans`](SpanTracer::into_spans)). A tracer made on one
+/// native), for the caller to [`record`](SpanRecorder::record)
+/// ([`into_spans`](SpanTracer::into_spans)). The recorder is only the
+/// tracer's clock and on/off switch. A tracer made on one
 /// thread can run a plan on another and come back: while it has room
 /// for every node it allocates nothing on the running thread (span
 /// names are filled in by `into_spans`), so no span outlives that
@@ -201,8 +201,6 @@ impl<B: MemoryBackend> ExecTracer<B> for SpanTracer<'_> {
             accesses: B::counter_accesses(delta).unwrap_or(0),
             level_misses: mem.counter_level_misses(delta),
             ops,
-            lane: 0,
-            seq: 0,
         };
         self.nodes.push((label, span));
         self.cursor_ns = end_ns;
@@ -728,6 +726,89 @@ mod tests {
         assert!(plain_pat.contains("r_trav(H"), "{plain_pat}");
         assert!(!shared_pat.contains("r_trav(H"), "{shared_pat}");
         assert!(shared_pat.contains("r_acc(H#D@0"), "{shared_pat}");
+    }
+
+    #[test]
+    fn select_join_aggregate_end_to_end() {
+        let spec = presets::tiny_full_assoc();
+        let mut ctx = ExecContext::new(spec.clone());
+        let n = 4096usize;
+        let (uk, vk) = Workload::new(42).join_pair(n);
+        let tables = [
+            ctx.relation_from_keys("U", &uk, 8),
+            ctx.relation_from_keys("V", &vk, 8),
+        ];
+        let plan = PhysicalPlan::scan(0)
+            .select_lt(2048) // half qualify
+            .join_with(PhysicalPlan::scan(1), JoinAlgorithm::Hash)
+            .group_count();
+        let (run, stats) = ctx.measure(|c| execute(c, &plan, &tables).unwrap());
+
+        // Correctness: 2048 qualifying keys, each joins once, distinct.
+        assert_eq!(run.output.n(), 2048);
+
+        // The pattern covers all three operators.
+        let s = run.pattern.to_string();
+        assert!(s.contains("r_acc"), "{s}");
+        assert!(s.matches("⊕").count() >= 3, "{s}");
+
+        // End-to-end model agreement within 2× on L2 misses.
+        let model = gcm_core::CostModel::new(spec.clone());
+        let report = model.report(&run.pattern);
+        let l2 = spec.level_index("L2").unwrap();
+        let measured = stats.misses_at(l2) as f64;
+        let predicted = report.levels[l2].misses();
+        let ratio = predicted / measured.max(1.0);
+        assert!(
+            (0.4..2.5).contains(&ratio),
+            "L2: measured {measured} predicted {predicted}"
+        );
+    }
+
+    #[test]
+    fn sort_then_merge_join_uses_order() {
+        let mut ctx = ExecContext::new(presets::tiny());
+        let keys = Workload::new(43).shuffled_keys(1024);
+        let sorted: Vec<u64> = (0..1024).collect();
+        let tables = [
+            ctx.relation_from_keys("U", &keys, 8),
+            ctx.relation_from_keys("V", &sorted, 8),
+        ];
+        let plan = PhysicalPlan::scan(0).sort().join_with(
+            PhysicalPlan::scan(1),
+            JoinAlgorithm::Merge {
+                sort_u: false,
+                sort_v: false,
+            },
+        );
+        let run = execute(&mut ctx, &plan, &tables).unwrap();
+        assert_eq!(run.output.n(), 1024);
+        for i in 1..1024 {
+            let a = ctx.mem.host().read_u64(run.output.tuple(i - 1));
+            let b = ctx.mem.host().read_u64(run.output.tuple(i));
+            assert!(a <= b, "merge output must be ordered");
+        }
+    }
+
+    #[test]
+    fn partition_then_dedup() {
+        let mut ctx = ExecContext::new(presets::tiny());
+        let keys = Workload::new(44).uniform_keys_bounded(2000, 300);
+        let tables = [ctx.relation_from_keys("U", &keys, 8)];
+        let plan = PhysicalPlan::scan(0).partition(8).dedup();
+        let run = execute(&mut ctx, &plan, &tables).unwrap();
+        // ≤ 300 distinct keys survive.
+        assert!(run.output.n() <= 300);
+        assert!(run.output.n() > 200, "most keys should appear");
+    }
+
+    #[test]
+    fn empty_plan_is_identity() {
+        let mut ctx = ExecContext::new(presets::tiny());
+        let tables = [ctx.relation_from_keys("U", &[1, 2, 3], 8)];
+        let run = execute(&mut ctx, &PhysicalPlan::scan(0), &tables).unwrap();
+        assert_eq!(run.output.n(), 3);
+        assert!(matches!(run.pattern, Pattern::Seq(ref v) if v.is_empty()));
     }
 
     #[test]

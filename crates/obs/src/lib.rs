@@ -9,10 +9,9 @@
 //!
 //! Four pieces, each usable on its own:
 //!
-//! - [`span`] — per-thread lock-free span recording with backend
+//! - [`span`] — span recording into one bounded buffer, with backend
 //!   counter deltas (charged accesses and per-level misses on the sim
-//!   backend, wall-ns on native); compiled to a no-op without the
-//!   `span-tracing` feature.
+//!   backend, wall-ns on native); a full buffer drops and counts.
 //! - [`hist`] — log-linear histograms with bounded quantile error, the
 //!   p50/p99/p999 story for service latency.
 //! - [`registry`] — named counters / gauges / histograms with
@@ -46,4 +45,4 @@ pub use flight::{FlightEntry, FlightRecorder};
 pub use hist::Histogram;
 pub use pmu::{PmuGroup, PmuSample, PmuStatus};
 pub use registry::{Metric, MetricsRegistry};
-pub use span::{Span, SpanKind, SpanRecorder, SpanSink};
+pub use span::{Span, SpanKind, SpanRecorder};

@@ -84,7 +84,7 @@ use gcm_engine::plan::{
 use gcm_engine::{ExecContext, NativeBackend, SimBackend};
 use gcm_hardware::HardwareSpec;
 use gcm_obs::pmu::PmuStatus;
-use gcm_obs::{DriftMonitor, FlightRecorder, Span, SpanKind, SpanRecorder, SpanSink};
+use gcm_obs::{DriftMonitor, FlightRecorder, Span, SpanKind, SpanRecorder};
 use gcm_workload::TenantClass;
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -124,7 +124,6 @@ impl Default for ServiceConfig {
 #[derive(Debug, Clone)]
 struct Pending {
     id: u64,
-    plan: LogicalPlan,
     planned: Arc<PlannedQuery>,
     /// The pattern the admission controller prices: the planned pattern
     /// with every shared build phase stripped and the probe redirected
@@ -217,12 +216,10 @@ pub struct QueryService {
     metrics: ServiceMetrics,
     /// The service trace: control-path spans (optimize / build-attach /
     /// admission) and the per-operator execute spans batch workers hand
-    /// back ([`executor::execute_batch`]) all land on
-    /// [`QueryService::ctl`]'s lane.
+    /// back ([`executor::execute_batch`]), recorded by the service
+    /// thread into one fixed-capacity buffer (overflow dropped and
+    /// counted).
     spans: SpanRecorder,
-    /// The service thread's own span lane: one writer, fixed capacity,
-    /// overflow dropped and counted.
-    ctl: SpanSink,
     /// Per-operator-class measured/predicted drift
     /// ([`DriftMonitor::needs_recalibration`] asks for a re-calibrate).
     drift: DriftMonitor,
@@ -257,8 +254,6 @@ impl QueryService {
     pub fn with_config(spec: HardwareSpec, cfg: ServiceConfig) -> QueryService {
         let plan_model = CostModel::new(spec.thread_view(1));
         let batch_model = CostModel::new(spec.clone());
-        let spans = SpanRecorder::new();
-        let ctl = spans.sink();
         QueryService {
             spec,
             batch_model,
@@ -271,8 +266,7 @@ impl QueryService {
             cfg,
             next_id: 0,
             metrics: ServiceMetrics::default(),
-            spans,
-            ctl,
+            spans: SpanRecorder::new(),
             drift: DriftMonitor::new(),
             recal: None,
             recalibrations: 0,
@@ -288,12 +282,9 @@ impl QueryService {
     pub const FLIGHT_CAPACITY: usize = 32;
 
     /// Record a control-path span (optimize / build-attach / admission)
-    /// on the service's own lane. A no-op when tracing is off.
-    fn ctl_span(&mut self, name: String, kind: SpanKind, start_ns: u64, end_ns: u64, ops: u64) {
-        if !self.ctl.active() {
-            return;
-        }
-        self.ctl.record(Span {
+    /// in the service trace. A no-op when tracing is off.
+    fn ctl_span(&self, name: String, kind: SpanKind, start_ns: u64, end_ns: u64, ops: u64) {
+        self.spans.record(Span {
             name,
             kind,
             start_ns,
@@ -302,8 +293,6 @@ impl QueryService {
             accesses: 0,
             level_misses: Vec::new(),
             ops,
-            lane: 0,
-            seq: 0,
         });
     }
 
@@ -368,13 +357,13 @@ impl QueryService {
     ) -> Result<u64, PlanError> {
         let snap = self.catalog.snapshot();
         let key = (plan.fingerprint(), snap.epoch());
-        let t0 = self.ctl.now_ns();
+        let t0 = self.spans.now_ns();
         let planned = self.cache.get_or_optimize(key, &plan, || {
             optimize_and_lower(&self.plan_model, &plan, snap.tables())
         })?;
-        let t1 = self.ctl.now_ns();
+        let t1 = self.spans.now_ns();
         let (pattern, cpu_ns, builds) = self.attach_shared_builds(&planned, snap.epoch());
-        let t2 = self.ctl.now_ns();
+        let t2 = self.spans.now_ns();
         let id = self.next_id;
         self.next_id += 1;
         self.ctl_span(format!("optimize q{id}"), SpanKind::Optimize, t0, t1, 0);
@@ -388,7 +377,6 @@ impl QueryService {
         let solo_ns = planned.mem_ns + cpu_ns;
         self.queue.push_back(Pending {
             id,
-            plan,
             planned,
             pattern,
             cpu_ns,
@@ -574,7 +562,7 @@ impl QueryService {
     /// Form a batch from the queue considered in `order` (indices into
     /// the queue), removing the admitted queries.
     fn form_batch(&mut self, order: &[usize]) -> Option<Batch> {
-        let t0 = self.ctl.now_ns();
+        let t0 = self.spans.now_ns();
         let candidates: Vec<admission::Candidate<'_>> = order
             .iter()
             .map(|&i| {
@@ -621,7 +609,7 @@ impl QueryService {
         self.metrics
             .registry
             .set_gauge(metrics::QUEUE_DEPTH, self.queue.len() as f64);
-        let t1 = self.ctl.now_ns();
+        let t1 = self.spans.now_ns();
         self.ctl_span(
             format!("admission[{}]", entries.len()),
             SpanKind::Admission,
@@ -685,7 +673,7 @@ impl QueryService {
             &self.spans,
         )?;
         for span in spans {
-            self.ctl.record(span);
+            self.spans.record(span);
         }
         let batch_idx = self.metrics.batches.len();
         for ((pending, run), predicted_ns) in
@@ -705,7 +693,6 @@ impl QueryService {
             }
             self.metrics.record_query(QueryRecord {
                 id: pending.id,
-                plan: pending.plan.to_string(),
                 batch: batch_idx,
                 predicted_ns: *predicted_ns,
                 measured_ns: run.measured_ns,
@@ -865,12 +852,14 @@ impl QueryService {
     /// completed probe atomically updates the CPU calibration (and the
     /// spec, when the probe refreshes it), force-bumps the statistics
     /// epoch so every cached plan re-prices, and resets the drift
-    /// monitor.
+    /// monitor. A probe result equal to the calibration in force only
+    /// resets the monitor.
     pub fn set_recalibrator(&mut self, recal: Recalibrator) {
         self.recal = Some(recal);
     }
 
-    /// Completed recalibrations applied to this service.
+    /// Completed recalibrations that changed this service's calibration
+    /// (a probe result equal to the one in force is not counted).
     pub fn recalibrations(&self) -> u64 {
         self.recalibrations
     }
@@ -885,8 +874,8 @@ impl QueryService {
     /// Synchronously drive the recalibration loop: trigger a probe if
     /// the drift flag is raised (or collect the one already running),
     /// block until it finishes, and apply it. Returns `true` when a
-    /// recalibration was applied. The asynchronous path is automatic —
-    /// [`execute_batch`](QueryService::execute_batch) pumps the loop
+    /// recalibration changed the calibration. The asynchronous path is
+    /// automatic — [`execute_batch`](QueryService::execute_batch) pumps the loop
     /// without blocking; this entry point is for tests and shutdown
     /// paths that must observe the swap.
     pub fn recalibrate_now(&mut self) -> bool {
@@ -895,7 +884,7 @@ impl QueryService {
 
     /// One turn of the recalibration loop. `block` waits for the probe
     /// thread; otherwise only a finished probe is collected. Returns
-    /// `true` when a result was applied.
+    /// `true` when a result changed the calibration.
     fn pump_recalibration(&mut self, block: bool) -> bool {
         let stale = self.drift.stale_classes();
         let Some(recal) = self.recal.as_mut() else {
@@ -905,13 +894,7 @@ impl QueryService {
             recal.trigger(&stale);
         }
         let done = if block { recal.wait() } else { recal.poll() };
-        match done {
-            Some((_, result)) => {
-                self.apply_recalibration(result);
-                true
-            }
-            None => false,
-        }
+        done.is_some_and(|(_, result)| self.apply_recalibration(result))
     }
 
     /// Atomically swap a probe result into the serving path: replace
@@ -919,8 +902,15 @@ impl QueryService {
     /// the hierarchy), force-bump the statistics epoch so every cached
     /// plan and shared build re-prices under the new parameters, and
     /// reset the drift monitor to judge the new calibration from
-    /// scratch.
-    fn apply_recalibration(&mut self, r: Recalibration) {
+    /// scratch. A result equal to the calibration in force only resets
+    /// the monitor: nothing would re-price, so the caches stay. Returns
+    /// whether the calibration changed.
+    fn apply_recalibration(&mut self, r: Recalibration) -> bool {
+        self.drift.reset();
+        let same_spec = r.spec.as_ref().is_none_or(|spec| *spec == self.spec);
+        if r.per_op_ns == self.cfg.per_op_ns && same_spec {
+            return false;
+        }
         self.cfg.per_op_ns = r.per_op_ns;
         if let Some(spec) = r.spec {
             self.plan_model = CostModel::new(spec.thread_view(1));
@@ -930,8 +920,8 @@ impl QueryService {
         let epoch = self.catalog.force_epoch_bump();
         self.cache.retire_epochs_before(epoch);
         self.builds.retire_epochs_before(epoch);
-        self.drift.reset();
         self.recalibrations += 1;
+        true
     }
 
     fn sync_cache_counters(&mut self) {
@@ -1284,6 +1274,67 @@ mod tests {
         );
         let prom = svc.metrics().to_prometheus();
         assert!(prom.contains("gcm_service_recalibrations_total"), "{prom}");
+    }
+
+    #[test]
+    fn recalibration_to_the_calibration_in_force_keeps_the_caches() {
+        // A 64× CPU miscalibration raises the drift flag, but the probe
+        // measures the same charge and spec already in force: nothing
+        // would re-price, so only the monitor resets. No epoch bump, no
+        // retired plans or builds, no counted recalibration.
+        let skewed = CpuCost::DEFAULT_PLANNER_PER_OP_NS * 64.0;
+        let spec = presets::modern_smp(4);
+        let mut svc = QueryService::with_config(
+            spec.clone(),
+            ServiceConfig {
+                max_batch: 1,
+                per_op_ns: skewed,
+                ..ServiceConfig::default()
+            },
+        );
+        let probes = Arc::new(Mutex::new(0u32));
+        let probes2 = Arc::clone(&probes);
+        svc.set_recalibrator(Recalibrator::new(move |_stale| {
+            *probes2.lock().unwrap() += 1;
+            Recalibration {
+                per_op_ns: skewed,
+                spec: Some(spec.clone()),
+            }
+        }));
+        // The tables of `queued_join_outlives_its_build`, on which the
+        // optimizer hash-joins over scan(D).
+        svc.register_table("F", (0..4_000).map(|i| (i * 7) % 1_000).collect(), 8);
+        svc.register_table("D", (0..1_000).collect(), 8);
+        let join = LogicalPlan::scan(0)
+            .join(LogicalPlan::scan(1))
+            .group_count();
+        for _ in 0..2 {
+            svc.submit(join.clone()).unwrap();
+        }
+        for i in 0..10 {
+            svc.submit(LogicalPlan::scan(0).select_lt(100 + 10 * i).group_count())
+                .unwrap();
+        }
+        let (plans, builds) = (svc.cache().len(), svc.builds().len());
+        assert!(builds > 0, "the repeated join registers a shared build");
+        let epoch = svc.catalog().epoch();
+        svc.run().unwrap();
+        svc.recalibrate_now();
+        assert!(
+            *probes.lock().unwrap() >= 1,
+            "drift flag never raised a probe"
+        );
+        assert!(!svc.drift().needs_recalibration(), "monitor resets");
+        assert_eq!(svc.recalibrations(), 0);
+        assert_eq!(svc.cpu_per_op_ns(), skewed);
+        assert_eq!(svc.catalog().epoch(), epoch, "no epoch bump");
+        assert_eq!(svc.cache().retired(), 0);
+        assert_eq!(svc.cache().len(), plans);
+        assert_eq!(svc.builds().len(), builds);
+        // The cached plan still serves.
+        let runs = svc.cache().optimizer_runs();
+        svc.submit(join).unwrap();
+        assert_eq!(svc.cache().optimizer_runs(), runs);
     }
 
     #[test]

@@ -39,8 +39,6 @@ pub const QUEUE_DEPTH_PEAK: &str = "gcm_service_queue_depth_peak";
 pub struct QueryRecord {
     /// The id [`crate::QueryService::submit`] returned.
     pub id: u64,
-    /// The logical plan (display form).
-    pub plan: String,
     /// Index into [`ServiceMetrics::batches`] of the batch it ran in.
     pub batch: usize,
     /// Predicted latency inside its batch (⊙-composed memory + CPU),
@@ -279,7 +277,6 @@ mod tests {
     fn record(predicted: f64, measured: f64) -> QueryRecord {
         QueryRecord {
             id: 0,
-            plan: "scan(0)".into(),
             batch: 0,
             predicted_ns: predicted,
             measured_ns: measured,

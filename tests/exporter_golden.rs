@@ -173,8 +173,6 @@ fn span(name: &str, seq: u64) -> Span {
         accesses: 0,
         level_misses: Vec::new(),
         ops: 1,
-        lane: 0,
-        seq: 0,
     }
 }
 
@@ -185,13 +183,12 @@ fn mirrored_counters_stay_monotone_across_drain_cycles() {
     // must be monotone and exact across cycles — a drain that
     // re-delivered or lost spans would break either property.
     let recorder = SpanRecorder::new();
-    let mut sink = recorder.sink();
     let registry = MetricsRegistry::new();
     let mut total = 0u64;
     for cycle in 0..3u64 {
         let produced = 4 + cycle; // vary per cycle: 4, 5, 6
         for i in 0..produced {
-            sink.record(span(&format!("c{cycle}s{i}"), i));
+            recorder.record(span(&format!("c{cycle}s{i}"), i));
         }
         let drained = recorder.drain();
         assert_eq!(drained.len() as u64, produced, "cycle {cycle}");

@@ -8,12 +8,12 @@
 //!   documented [`gcm::obs::hist::QUANTILE_REL_ERROR`] bound;
 //! - span recorder under contention: eight writer threads racing a
 //!   concurrent drainer must lose nothing and duplicate nothing
-//!   (`(lane, seq)` pairs are the identity);
+//!   (`(name, start_ns)` pairs are the identity);
 //! - `EXPLAIN ANALYZE` golden: the redacted text of a two-join plan is
 //!   pinned byte-for-byte, so the report's tree shape, labels, and row
 //!   layout cannot drift silently;
 //! - span memory on the served path: a service that serves natively
-//!   and is never drained holds one lane's worth of spans and counts
+//!   and is never drained holds one buffer's worth of spans and counts
 //!   the rest as dropped.
 //!
 //! Plus the satellite-a check that the bounded miss trace is reachable
@@ -29,7 +29,7 @@ use gcm::engine::planner::JoinAlgorithm;
 use gcm::engine::{ExecContext, MemoryBackend, NativeBackend};
 use gcm::hardware::presets;
 use gcm::obs::hist::QUANTILE_REL_ERROR;
-use gcm::obs::span::DEFAULT_LANE_CAPACITY;
+use gcm::obs::span::DEFAULT_SPAN_CAPACITY;
 use gcm::obs::{Histogram, Span, SpanKind, SpanRecorder};
 use gcm::service::QueryService;
 use gcm::workload::Workload;
@@ -113,19 +113,19 @@ const SPANS_PER_WRITER: u64 = 500;
 
 #[test]
 fn eight_writers_with_concurrent_drain_lose_and_duplicate_nothing() {
-    // Capacity covers a writer's full output, so even a drainer that
-    // never keeps up cannot force drops — any loss is a real bug.
-    let rec = SpanRecorder::with_capacity(SPANS_PER_WRITER as usize + 8);
+    // Capacity covers every writer's full output, so even a drainer
+    // that never keeps up cannot force drops — any loss is a real bug.
+    let rec = SpanRecorder::with_capacity(WRITERS * SPANS_PER_WRITER as usize);
     let done = AtomicBool::new(false);
     let mut harvested: Vec<Span> = Vec::new();
 
     std::thread::scope(|s| {
         let mut writers = Vec::new();
         for w in 0..WRITERS {
-            let mut sink = rec.sink();
+            let rec = &rec;
             writers.push(s.spawn(move || {
                 for i in 0..SPANS_PER_WRITER {
-                    sink.record(Span {
+                    rec.record(Span {
                         name: format!("op{w}"),
                         kind: SpanKind::Execute,
                         start_ns: i,
@@ -134,8 +134,6 @@ fn eight_writers_with_concurrent_drain_lose_and_duplicate_nothing() {
                         accesses: 0,
                         level_misses: Vec::new(),
                         ops: i,
-                        lane: 0,
-                        seq: 0,
                     });
                     if i % 64 == 0 {
                         std::thread::yield_now();
@@ -167,20 +165,25 @@ fn eight_writers_with_concurrent_drain_lose_and_duplicate_nothing() {
     assert_eq!(rec.dropped(), 0, "capacity was sized to never drop");
     assert_eq!(harvested.len() as u64, expected, "no span may be lost");
 
-    let identities: HashSet<(usize, u64)> = harvested.iter().map(|sp| (sp.lane, sp.seq)).collect();
+    let identities: HashSet<(&str, u64)> = harvested
+        .iter()
+        .map(|sp| (sp.name.as_str(), sp.start_ns))
+        .collect();
     assert_eq!(
         identities.len() as u64,
         expected,
-        "(lane, seq) pairs must be unique — duplicates mean a slot was read twice"
+        "(name, start_ns) pairs must be unique — duplicates mean a span was drained twice"
     );
-    // Every lane delivered its full, gap-free sequence.
-    for lane in 0..WRITERS {
-        for seq in 0..SPANS_PER_WRITER {
-            assert!(
-                identities.contains(&(lane, seq)),
-                "missing span ({lane}, {seq})"
-            );
-        }
+    // Every writer delivered its full, gap-free sequence, in the order
+    // it recorded it.
+    for w in 0..WRITERS {
+        let name = format!("op{w}");
+        let seq: Vec<u64> = harvested
+            .iter()
+            .filter(|sp| sp.name == name)
+            .map(|sp| sp.start_ns)
+            .collect();
+        assert_eq!(seq, (0..SPANS_PER_WRITER).collect::<Vec<_>>(), "{name}");
     }
 }
 
@@ -314,15 +317,15 @@ fn serve_traced_point_lookups(drain_each_batch: bool) -> (usize, u64) {
 #[test]
 fn undrained_native_spans_stay_within_one_lane() {
     // Drained after every batch nothing drops, which gives the total.
-    // Never drained, only the service's own lane holds spans: exactly
-    // one lane's worth, the rest counted as dropped.
+    // Never drained, the service's span buffer holds exactly its
+    // capacity, the rest counted as dropped.
     let (total, none) = serve_traced_point_lookups(true);
     assert_eq!(none, 0);
     assert!(
-        total > DEFAULT_LANE_CAPACITY,
-        "{total} spans must overflow a lane"
+        total > DEFAULT_SPAN_CAPACITY,
+        "{total} spans must overflow the buffer"
     );
     let (kept, dropped) = serve_traced_point_lookups(false);
-    assert_eq!(kept, DEFAULT_LANE_CAPACITY);
+    assert_eq!(kept, DEFAULT_SPAN_CAPACITY);
     assert_eq!(kept as u64 + dropped, total as u64);
 }
